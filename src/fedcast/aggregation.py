@@ -1,9 +1,10 @@
 """Server-side aggregation strategies.
 
-Every client i reports delta_i = w_local - w_global, its sample count, its
-local optimizer step count tau_i, and the full local weights. The weighted
-round update is dW = sum_i (n_i / n) delta_i with n = sum_i n_i, and every
-strategy ADDS its update to the global weights:
+Every client i reports its local weights w_i after training, its sample
+count n_i and its local optimizer step count tau_i. The server derives
+delta_i = w_i - w from the global weights w it broadcast that round. The
+weighted round update is dW = sum_i (n_i / n) delta_i with n = sum_i n_i,
+and every strategy ADDS its update to the global weights:
 
   fedavg / fedprox   w + eta * dW            (eta == 1 averages client models)
   fedavgm            u = beta * u + dW;                    w + u
@@ -25,7 +26,7 @@ order, so aggregation is invariant to update ordering, bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -117,18 +118,16 @@ class AggregatorConfig:
 
 @dataclass(frozen=True)
 class ClientUpdate:
-    """One client's round contribution.
+    """One client's round contribution: its post-training weights.
 
-    delta = local - global in the round's reference frame; local_params are
-    the raw post-training weights (used by the model-averaging strategies so
-    a single-client round reproduces local training bit for bit).
+    The model-averaging strategies use local_params as they are, so a
+    single-client round reproduces local training bit for bit.
     """
 
     client_id: str
-    delta: ParameterVector
+    local_params: ParameterVector
     n_samples: int
     local_steps: int
-    local_params: Optional[ParameterVector] = None
 
     def __post_init__(self) -> None:
         if self.n_samples < 1:
@@ -155,65 +154,31 @@ class ServerState:
                            np.zeros(size, dtype=np.float64))
 
 
-def proximal_loss_term(
-    values, anchor, mu: float
-) -> tuple[float, np.ndarray]:
-    """mu/2 * ||w - anchor||^2 and its gradient mu * (w - anchor).
-
-    Accepts ParameterVector or plain array arguments.
-    """
-    if mu < 0:
-        raise AggregationError("mu must be >= 0")
-    if isinstance(values, ParameterVector):
-        values = values.values
-    if isinstance(anchor, ParameterVector):
-        anchor = anchor.values
-    values = np.asarray(values, dtype=np.float64)
-    anchor = np.asarray(anchor, dtype=np.float64)
-    if values.shape != anchor.shape:
-        raise AggregationError("anchor shape differs from parameter shape")
-    if mu == 0.0:
-        return 0.0, np.zeros_like(values)
-    diff = values - anchor
-    return 0.5 * mu * float(diff @ diff), mu * diff
-
-
-def _sorted_updates(updates: Sequence[ClientUpdate]) -> list[ClientUpdate]:
+def _sorted_updates(
+    updates: Sequence[ClientUpdate], global_params: ParameterVector
+) -> list[ClientUpdate]:
     if not updates:
         raise AggregationError("no client updates to aggregate")
     ids = [u.client_id for u in updates]
     if len(set(ids)) != len(ids):
         raise AggregationError(f"duplicate client ids in updates: {ids}")
-    size = updates[0].delta.size
     for u in updates:
-        if u.delta.size != size:
-            raise AggregationError("client updates have mismatched layouts")
+        if u.local_params.size != global_params.size:
+            raise AggregationError(
+                f"{u.client_id}: update does not match the global layout"
+            )
     return sorted(updates, key=lambda u: u.client_id)
 
 
-def weighted_delta(updates: Sequence[ClientUpdate]) -> np.ndarray:
-    """dW = sum_i (n_i / n) delta_i in ascending client-id order."""
-    ordered = _sorted_updates(updates)
-    n = sum(u.n_samples for u in ordered)
-    total = np.zeros(ordered[0].delta.size, dtype=np.float64)
-    for u in ordered:
-        total += (u.n_samples / n) * u.delta.values
-    return total
-
-
-def _local_values(update: ClientUpdate, global_params: ParameterVector) -> np.ndarray:
-    if update.local_params is not None:
-        return update.local_params.values
-    return global_params.values + update.delta.values
-
-
-def _weighted_model_average(
-    updates: list[ClientUpdate], global_params: ParameterVector
+def weighted_delta(
+    updates: Sequence[ClientUpdate], global_params: ParameterVector
 ) -> np.ndarray:
-    n = sum(u.n_samples for u in updates)
+    """dW = sum_i (n_i / n) (w_i - w) in ascending client-id order."""
+    ordered = _sorted_updates(updates, global_params)
+    n = sum(u.n_samples for u in ordered)
     total = np.zeros(global_params.size, dtype=np.float64)
-    for u in updates:
-        total += (u.n_samples / n) * _local_values(u, global_params)
+    for u in ordered:
+        total += (u.n_samples / n) * (u.local_params.values - global_params.values)
     return total
 
 
@@ -224,46 +189,48 @@ def aggregate(
     updates: Sequence[ClientUpdate],
 ) -> tuple[ParameterVector, ServerState]:
     """One server round: returns (new global weights, new server state)."""
-    ordered = _sorted_updates(updates)
-    if ordered[0].delta.size != global_params.size:
-        raise AggregationError("updates do not match the global layout")
+    ordered = _sorted_updates(updates, global_params)
     w = global_params.values
+    local = [u.local_params.values for u in ordered]
     eta = config.server_lr
     strategy = config.strategy
     new_momentum = state.momentum
     new_second = state.second_moment
 
     if strategy == "simpleavg":
-        stack = np.stack([_local_values(u, global_params) for u in ordered])
-        new_w = stack.mean(axis=0)
+        new_w = np.stack(local).mean(axis=0)
     elif strategy == "medianavg":
-        stack = np.stack([_local_values(u, global_params) for u in ordered])
-        new_w = np.median(stack, axis=0)
+        new_w = np.median(np.stack(local), axis=0)
     elif strategy in ("fedavg", "fedprox"):
         # eta == 1 averages client models directly: exact (not just close)
         # for a single client, and equal to w + dW up to float rounding.
         if eta == 1.0:
-            new_w = _weighted_model_average(ordered, global_params)
+            n = sum(u.n_samples for u in ordered)
+            new_w = np.zeros(global_params.size, dtype=np.float64)
+            for u, w_i in zip(ordered, local):
+                new_w += (u.n_samples / n) * w_i
         else:
-            new_w = w + eta * weighted_delta(ordered)
+            new_w = w + eta * weighted_delta(ordered, global_params)
     elif strategy == "fedavgm":
         # eta is absorbed into the momentum step for this strategy.
-        new_momentum = config.beta * state.momentum + weighted_delta(ordered)
+        new_momentum = config.beta * state.momentum + weighted_delta(
+            ordered, global_params
+        )
         new_w = w + new_momentum
     elif strategy == "fednova":
         n = sum(u.n_samples for u in ordered)
         normalized = np.zeros(global_params.size, dtype=np.float64)
-        for u in ordered:
-            normalized += (u.n_samples / (n * u.local_steps)) * u.delta.values
+        for u, w_i in zip(ordered, local):
+            normalized += (u.n_samples / (n * u.local_steps)) * (w_i - w)
         coeff = sum(u.n_samples * u.local_steps for u in ordered) / n
         new_momentum = config.rho * state.momentum + coeff * normalized
         new_w = w + eta * new_momentum
     elif strategy == "fedadagrad":
-        dw = weighted_delta(ordered)
+        dw = weighted_delta(ordered, global_params)
         new_second = state.second_moment + dw * dw
         new_w = w + eta * dw / (np.sqrt(new_second) + config.adaptivity)
     elif strategy == "fedyogi":
-        dw = weighted_delta(ordered)
+        dw = weighted_delta(ordered, global_params)
         new_momentum = config.beta1 * state.momentum + (1.0 - config.beta1) * dw
         sq = dw * dw
         new_second = state.second_moment - (1.0 - config.beta2) * sq * np.sign(
@@ -271,7 +238,7 @@ def aggregate(
         )
         new_w = w + eta * new_momentum / (np.sqrt(new_second) + config.adaptivity)
     elif strategy == "fedadam":
-        dw = weighted_delta(ordered)
+        dw = weighted_delta(ordered, global_params)
         new_momentum = config.beta1 * state.momentum + (1.0 - config.beta1) * dw
         new_second = config.beta2 * state.second_moment + (1.0 - config.beta2) * (
             dw * dw

@@ -384,11 +384,6 @@ def scale_array(values: np.ndarray, scaler: ScalerParams) -> np.ndarray:
     return np.where(span > 0, scaled, 0.0)
 
 
-def inverse_scale(dataset: TimeSeriesDataset, scaler: ScalerParams) -> TimeSeriesDataset:
-    values = inverse_scale_array(dataset.values, scaler)
-    return replace(dataset, values=values)
-
-
 def inverse_scale_array(values: np.ndarray, scaler: ScalerParams) -> np.ndarray:
     """Undo scale_array. Degenerate features return the fitted minimum."""
     if values.shape[1] != len(scaler.minimum):

@@ -17,7 +17,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 import yaml
@@ -119,15 +119,20 @@ class ExperimentConfig:
             raise ValueError("fine_tune_epochs must be >= 0")
 
 
+def _mapping(value, path: str) -> dict:
+    """A config section as a fresh dict; ConfigError unless it is a mapping."""
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{path}: expected a mapping, got {type(value).__name__}")
+    return dict(value)
+
+
 def _build(cls, payload: Mapping, path: str, casts: Optional[dict] = None):
     """Construct a dataclass from a mapping, rejecting unknown keys."""
-    if not isinstance(payload, Mapping):
-        raise ConfigError(f"{path}: expected a mapping, got {type(payload).__name__}")
+    kwargs = _mapping(payload, path)
     known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(payload) - known)
+    unknown = sorted(set(kwargs) - known)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {unknown}")
-    kwargs = dict(payload)
     for key, cast in (casts or {}).items():
         if key in kwargs:
             try:
@@ -165,15 +170,13 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     ):
         raise ConfigError("config.seeds: must be a list of integers")
 
-    data_raw = raw["data"]
-    if not isinstance(data_raw, Mapping):
-        raise ConfigError("config.data: expected a mapping")
+    data_raw = _mapping(raw["data"], "config.data")
     synthetic = None
     paths: tuple[str, ...] = ()
     if "synthetic" in data_raw and "paths" in data_raw:
         raise ConfigError("config.data: provide exactly one of paths / synthetic")
     if "synthetic" in data_raw:
-        syn_raw = dict(data_raw["synthetic"])
+        syn_raw = _mapping(data_raw["synthetic"], "config.data.synthetic")
         clients_raw = syn_raw.pop("clients", None)
         if not isinstance(clients_raw, list) or not clients_raw:
             raise ConfigError("config.data.synthetic.clients: non-empty list required")
@@ -219,7 +222,7 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     )
     aggregator = None
     if "aggregator" in raw:
-        agg_raw = dict(raw["aggregator"])
+        agg_raw = _mapping(raw["aggregator"], "config.aggregator")
         strategy = agg_raw.pop("strategy", None)
         if strategy is None:
             raise ConfigError("config.aggregator.strategy: required")
@@ -230,11 +233,8 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
 
     grid = None
     if raw.get("grid"):
-        grid_raw = raw["grid"]
-        if not isinstance(grid_raw, Mapping):
-            raise ConfigError("config.grid: expected a mapping of lists")
         grid = {}
-        for key, vals in grid_raw.items():
+        for key, vals in _mapping(raw["grid"], "config.grid").items():
             if not isinstance(vals, (list, tuple)) or not vals:
                 raise ConfigError(f"config.grid.{key}: non-empty list required")
             grid[key] = tuple(vals)
@@ -360,11 +360,14 @@ def _client_mean(reports: Mapping[str, MetricReport], attr: str) -> float:
 
 
 def _score_params(
-    spec: ModelSpec, params: ParameterVector, clients: Sequence[ClientWindows]
+    spec: ModelSpec,
+    params_for: Callable[[ClientWindows], ParameterVector],
+    clients: Sequence[ClientWindows],
 ) -> dict[str, MetricReport]:
+    """Test scores of each client under the weights params_for(client)."""
     out = {}
     for cw in clients:
-        pred = predict(spec, params, cw.test.inputs)
+        pred = predict(spec, params_for(cw), cw.test.inputs)
         out[cw.client_id] = evaluate_forecasts(pred, cw.test.targets, cw.scaler)
     return out
 
@@ -442,19 +445,9 @@ def run_experiment(
         for seed in config.seeds:
             run_dir = out_root / cell_label / f"seed-{seed}"
             run_dir.mkdir(parents=True, exist_ok=True)
-            if config.setting == "federated":
-                result = _run_federated_once(
-                    config, spec, clients, aggregator, seed, run_dir, cell_label
-                )
-            elif config.setting == "centralized":
-                result = _run_centralized_once(
-                    config, spec, clients, seed, run_dir, cell_label
-                )
-            else:
-                result = _run_individual_once(
-                    config, spec, clients, seed, run_dir, cell_label
-                )
-            runs.append(result)
+            runs.append(_run_once(
+                config, spec, clients, aggregator, seed, run_dir, cell_label
+            ))
 
     summary = ExperimentSummary(
         name=config.name,
@@ -475,100 +468,58 @@ def run_experiment(
     return summary
 
 
-def _run_federated_once(
+def _run_once(
     config, spec, clients, aggregator, seed, run_dir: Path, cell: str
 ) -> RunResult:
-    federation = dataclasses.replace(config.federation, seed=seed)
-    history = run_federated(spec, clients, federation, aggregator)
-    _write_rounds_csv(run_dir / "rounds.csv", history)
-    chosen = history.best_global
-    with open(run_dir / "checkpoint.bin", "wb") as fh:
-        fh.write(serialize_params(chosen))
-    per_client = _score_params(spec, chosen, clients)
+    """Train one (cell, seed) run in the config's setting, then score it.
+
+    Only the training differs per setting: each writes its curve CSV and
+    names the weights every client is scored with. Checkpoints, test scores,
+    fine-tuning and metrics.json are shared.
+    """
+    budget = (config.training.max_epochs, config.training.patience, seed)
+    best_index = server_total_mb = shared = None
+    if config.setting == "federated":
+        federation = dataclasses.replace(config.federation, seed=seed)
+        history = run_federated(spec, clients, federation, aggregator)
+        _write_rounds_csv(run_dir / "rounds.csv", history)
+        shared, best_index = history.best_global, history.best_round
+        server_total_mb = megabytes(account_communication(history).server_total_bytes)
+    elif config.setting == "centralized":
+        report = run_centralized(spec, clients, *budget)
+        _write_epochs_csv(run_dir / "epochs.csv", {"pooled": report})
+        shared, best_index = report.params, report.best_epoch
+    else:
+        reports = {cw.client_id: run_individual(spec, cw, *budget) for cw in clients}
+        _write_epochs_csv(run_dir / "epochs.csv", reports)
+        models = {cid: report.params for cid, report in reports.items()}
+        checkpoints = {f"checkpoint-{cid}.bin": p for cid, p in models.items()}
+    if shared is not None:
+        models = {cw.client_id: shared for cw in clients}
+        checkpoints = {"checkpoint.bin": shared}
+    for name, params in checkpoints.items():
+        (run_dir / name).write_bytes(serialize_params(params))
+
+    per_client = _score_params(spec, lambda cw: models[cw.client_id], clients)
     fine_tuned: dict[str, MetricReport] = {}
     if config.fine_tune:
-        for cw in clients:
-            tuned = fine_tune(spec, chosen, cw, config.fine_tune_epochs, seed)
-            pred = predict(spec, tuned, cw.test.inputs)
-            fine_tuned[cw.client_id] = evaluate_forecasts(
-                pred, cw.test.targets, cw.scaler
-            )
-    ledger = account_communication(history)
+        fine_tuned = _score_params(
+            spec,
+            lambda cw: fine_tune(
+                spec, models[cw.client_id], cw, config.fine_tune_epochs, seed
+            ),
+            clients,
+        )
     result = RunResult(
         cell=cell,
         seed=seed,
         avg_nrmse=_client_mean(per_client, "avg_nrmse"),
         avg_mae=_client_mean(per_client, "avg_mae"),
         avg_rmse=_client_mean(per_client, "avg_rmse"),
-        best_index=history.best_round,
-        server_total_mb=megabytes(ledger.server_total_bytes),
+        best_index=best_index,
+        server_total_mb=server_total_mb,
         per_client=per_client,
         fine_tuned=fine_tuned,
-    )
-    _json_dump(run_dir / "metrics.json", _run_payload(result))
-    return result
-
-
-def _run_centralized_once(
-    config, spec, clients, seed, run_dir: Path, cell: str
-) -> RunResult:
-    report = run_centralized(
-        spec, clients, config.training.max_epochs, config.training.patience, seed
-    )
-    _write_epochs_csv(run_dir / "epochs.csv", {"pooled": report})
-    with open(run_dir / "checkpoint.bin", "wb") as fh:
-        fh.write(serialize_params(report.params))
-    per_client = _score_params(spec, report.params, clients)
-    fine_tuned: dict[str, MetricReport] = {}
-    if config.fine_tune:
-        for cw in clients:
-            tuned = fine_tune(spec, report.params, cw, config.fine_tune_epochs, seed)
-            pred = predict(spec, tuned, cw.test.inputs)
-            fine_tuned[cw.client_id] = evaluate_forecasts(
-                pred, cw.test.targets, cw.scaler
-            )
-    result = RunResult(
-        cell=cell,
-        seed=seed,
-        avg_nrmse=_client_mean(per_client, "avg_nrmse"),
-        avg_mae=_client_mean(per_client, "avg_mae"),
-        avg_rmse=_client_mean(per_client, "avg_rmse"),
-        best_index=report.best_epoch,
-        server_total_mb=None,
-        per_client=per_client,
-        fine_tuned=fine_tuned,
-    )
-    _json_dump(run_dir / "metrics.json", _run_payload(result))
-    return result
-
-
-def _run_individual_once(
-    config, spec, clients, seed, run_dir: Path, cell: str
-) -> RunResult:
-    reports: dict[str, TrainReport] = {}
-    per_client: dict[str, MetricReport] = {}
-    for cw in clients:
-        report = run_individual(
-            spec, cw, config.training.max_epochs, config.training.patience, seed
-        )
-        reports[cw.client_id] = report
-        pred = predict(spec, report.params, cw.test.inputs)
-        per_client[cw.client_id] = evaluate_forecasts(
-            pred, cw.test.targets, cw.scaler
-        )
-        with open(run_dir / f"checkpoint-{cw.client_id}.bin", "wb") as fh:
-            fh.write(serialize_params(report.params))
-    _write_epochs_csv(run_dir / "epochs.csv", reports)
-    result = RunResult(
-        cell=cell,
-        seed=seed,
-        avg_nrmse=_client_mean(per_client, "avg_nrmse"),
-        avg_mae=_client_mean(per_client, "avg_mae"),
-        avg_rmse=_client_mean(per_client, "avg_rmse"),
-        best_index=None,
-        server_total_mb=None,
-        per_client=per_client,
-        fine_tuned={},
     )
     _json_dump(run_dir / "metrics.json", _run_payload(result))
     return result

@@ -3,9 +3,11 @@
 One round: sample clients, broadcast the global weights, run E local epochs
 per sampled client (each client keeps its own Adam state and epoch counter
 across rounds, so a one-epoch-per-round run retraces a plain local run
-step for step), aggregate, then evaluate the new global weights on every
-client's validation windows. The centralized and individual settings reuse
-the same trainer on pooled or single-client windows.
+step for step), aggregate the clients' local weights (the server derives
+each client's delta from the weights it broadcast), then evaluate the new
+global weights on every client's validation windows. The centralized and
+individual settings train on pooled or single-client windows through the
+same epoch loop, with early stopping.
 """
 
 from __future__ import annotations
@@ -185,7 +187,6 @@ def run_federated(
                 spec,
                 global_pv,
                 cw.train,
-                None,
                 epochs=federation.local_epochs,
                 seed=stream_seeds[cid],
                 proximal_mu=aggregator.mu if is_fedprox else 0.0,
@@ -194,16 +195,12 @@ def run_federated(
                 epoch_offset=offset,
             )
             trainers[cid] = (report.state, report.next_epoch)
-            delta = global_pv.replace_values(
-                report.final_params.values - global_pv.values
-            )
             updates.append(
                 ClientUpdate(
                     client_id=cid,
-                    delta=delta,
+                    local_params=report.final_params,
                     n_samples=cw.train.count,
                     local_steps=report.steps,
-                    local_params=report.final_params,
                 )
             )
             train_stats[cid] = (report.train_losses[-1], report.steps)
@@ -330,7 +327,6 @@ def fine_tune(
         spec,
         global_params,
         client.train,
-        None,
         epochs=epochs,
         seed=client_stream_seed(seed, client.client_id),
     )

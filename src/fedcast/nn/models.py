@@ -112,7 +112,7 @@ def init_model(spec: ModelSpec, seed: int) -> ParameterVector:
         if tensor.fan_in is None:
             continue
         bound = 1.0 / np.sqrt(tensor.fan_in)
-        lo, hi = layout.offsets[tensor.name]
+        lo, hi, _ = layout.offsets[tensor.name]
         values[lo:hi] = rng.uniform(-bound, bound, size=tensor.size)
     return pv
 

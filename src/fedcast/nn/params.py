@@ -49,25 +49,20 @@ class Layout:
     tag: str = ""
 
     @cached_property
-    def offsets(self) -> dict[str, tuple[int, int]]:
-        table: dict[str, tuple[int, int]] = {}
+    def offsets(self) -> dict[str, tuple[int, int, tuple[int, ...]]]:
+        """name -> (start, end, shape) of each tensor in the flat vector."""
+        table: dict[str, tuple[int, int, tuple[int, ...]]] = {}
         pos = 0
         for spec in self.tensors:
             if spec.name in table:
                 raise ValueError(f"duplicate tensor name {spec.name!r}")
-            table[spec.name] = (pos, pos + spec.size)
+            table[spec.name] = (pos, pos + spec.size, spec.shape)
             pos += spec.size
         return table
 
     @property
     def size(self) -> int:
         return sum(spec.size for spec in self.tensors)
-
-    def spec(self, name: str) -> TensorSpec:
-        for t in self.tensors:
-            if t.name == name:
-                return t
-        raise KeyError(name)
 
 
 @dataclass(frozen=True)
@@ -87,8 +82,8 @@ class ParameterVector:
 
     def view(self, name: str) -> np.ndarray:
         """Shaped view into the flat vector (no copy)."""
-        lo, hi = self.layout.offsets[name]
-        return self.values[lo:hi].reshape(self.layout.spec(name).shape)
+        lo, hi, shape = self.layout.offsets[name]
+        return self.values[lo:hi].reshape(shape)
 
     def copy(self) -> "ParameterVector":
         return ParameterVector(self.values.copy(), self.layout)

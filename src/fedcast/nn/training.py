@@ -1,6 +1,8 @@
 """Mini-batch Adam training with optional proximal anchoring.
 
-One epoch = one seeded shuffle + sequential batches of spec.batch_size (the
+train_local (fixed epochs) and train_with_early_stopping (validation scored
+every epoch, patience rule, best-epoch weights) share one epoch loop. One
+epoch = one seeded shuffle + sequential batches of spec.batch_size (the
 last batch keeps the remainder). The shuffle stream for epoch e is derived
 from SeedSequence([seed, e]), so epoch e of a long run and round e of a
 one-epoch-per-round federated run draw identical permutations. Local step
@@ -94,7 +96,7 @@ def loss_and_grad(
     for t in layout.tensors:
         g = leaves[t.name].grad
         if g is not None:
-            lo, hi = layout.offsets[t.name]
+            lo, hi, _ = layout.offsets[t.name]
             flat[lo:hi] = g.ravel()
     return float(loss.data), flat
 
@@ -198,11 +200,72 @@ def _run_epoch(
     return values, state, weighted_loss / n, steps
 
 
+def _train(
+    spec: ModelSpec,
+    params: ParameterVector,
+    train: WindowedDataset,
+    epochs: int,
+    *,
+    seed: int,
+    proximal_mu: float = 0.0,
+    anchor: Optional[np.ndarray] = None,
+    state: Optional[AdamState] = None,
+    epoch_offset: int = 0,
+    learning_rate: Optional[float] = None,
+    batch_size: Optional[int] = None,
+    validation: Optional[WindowedDataset] = None,
+    stopper: Optional[EarlyStopper] = None,
+) -> TrainReport:
+    """The one epoch loop behind train_local and train_with_early_stopping.
+
+    With a stopper, every epoch is scored on validation, the best-epoch
+    weights are kept, and the loop ends once the stopper says so.
+    """
+    if epochs > 0 and train.count == 0:
+        raise ValueError("cannot train on zero windows")
+    layout = params.layout
+    values = params.values.copy()
+    best_values = values
+    state = state if state is not None else AdamState.zeros(layout.size)
+    lr = learning_rate if learning_rate is not None else spec.learning_rate
+    bs = batch_size if batch_size is not None else spec.batch_size
+    train_losses: list[float] = []
+    val_losses: list[float] = []
+    val_maes: list[float] = []
+    total_steps = 0
+    for e in range(epochs):
+        rng = _epoch_rng(seed, epoch_offset + e)
+        values, state, epoch_loss, steps = _run_epoch(
+            spec, layout, values, state, train, rng, bs, lr, proximal_mu, anchor
+        )
+        total_steps += steps
+        train_losses.append(epoch_loss)
+        if stopper is not None:
+            mse, mae = evaluate(spec, ParameterVector(values, layout), validation)
+            val_losses.append(mse)
+            val_maes.append(mae)
+            if stopper.best_epoch is None or mse < stopper.best:
+                best_values = values.copy()
+            if stopper.update(mse):
+                break
+    final = ParameterVector(values, layout)
+    return TrainReport(
+        train_losses=tuple(train_losses),
+        val_losses=tuple(val_losses),
+        val_maes=tuple(val_maes),
+        steps=total_steps,
+        best_epoch=stopper.best_epoch if stopper is not None else None,
+        params=ParameterVector(best_values, layout) if stopper is not None else final,
+        final_params=final,
+        state=state,
+        next_epoch=epoch_offset + len(train_losses),
+    )
+
+
 def train_local(
     spec: ModelSpec,
     params: ParameterVector,
     train: WindowedDataset,
-    validation: Optional[WindowedDataset] = None,
     epochs: int = 1,
     *,
     seed: int = 0,
@@ -223,48 +286,17 @@ def train_local(
         raise ValueError("epochs must be >= 0")
     if proximal_mu < 0:
         raise ValueError("proximal_mu must be >= 0")
-    if proximal_mu > 0 and proximal_anchor is None:
-        raise ValueError("proximal_mu > 0 requires an anchor")
-    layout = params.layout
-    values = params.values.copy()
-    state = state if state is not None else AdamState.zeros(layout.size)
-    lr = learning_rate if learning_rate is not None else spec.learning_rate
-    bs = batch_size if batch_size is not None else spec.batch_size
-    if epochs > 0 and train.count == 0:
-        raise ValueError("cannot train on zero windows")
     anchor = None
     if proximal_mu > 0.0:
+        if proximal_anchor is None:
+            raise ValueError("proximal_mu > 0 requires an anchor")
         anchor = np.asarray(proximal_anchor, dtype=np.float64)
-        if anchor.shape != values.shape:
+        if anchor.shape != params.values.shape:
             raise ValueError("anchor shape differs from parameter shape")
-
-    train_losses: list[float] = []
-    val_losses: list[float] = []
-    val_maes: list[float] = []
-    total_steps = 0
-    for e in range(epochs):
-        rng = _epoch_rng(seed, epoch_offset + e)
-        values, state, epoch_loss, steps = _run_epoch(
-            spec, layout, values, state, train, rng, bs, lr, proximal_mu, anchor
-        )
-        total_steps += steps
-        train_losses.append(epoch_loss)
-        if validation is not None and validation.count > 0:
-            mse, mae = evaluate(spec, ParameterVector(values, layout), validation)
-            val_losses.append(mse)
-            val_maes.append(mae)
-    best_epoch = int(np.argmin(val_losses)) if val_losses else None
-    result = ParameterVector(values, layout)
-    return TrainReport(
-        train_losses=tuple(train_losses),
-        val_losses=tuple(val_losses),
-        val_maes=tuple(val_maes),
-        steps=total_steps,
-        best_epoch=best_epoch,
-        params=result,
-        final_params=result,
-        state=state,
-        next_epoch=epoch_offset + epochs,
+    return _train(
+        spec, params, train, epochs, seed=seed, proximal_mu=proximal_mu,
+        anchor=anchor, state=state, epoch_offset=epoch_offset,
+        learning_rate=learning_rate, batch_size=batch_size,
     )
 
 
@@ -290,41 +322,8 @@ def train_with_early_stopping(
         raise ValueError("max_epochs must be >= 1")
     if validation is None or validation.count == 0:
         raise ValueError("early stopping requires non-empty validation windows")
-    if train.count == 0:
-        raise ValueError("cannot train on zero windows")
-    layout = params.layout
-    values = params.values.copy()
-    state = AdamState.zeros(layout.size)
-    lr = learning_rate if learning_rate is not None else spec.learning_rate
-    bs = batch_size if batch_size is not None else spec.batch_size
-    stopper = EarlyStopper(patience)
-    best_values = values.copy()
-    train_losses: list[float] = []
-    val_losses: list[float] = []
-    val_maes: list[float] = []
-    total_steps = 0
-    for e in range(max_epochs):
-        rng = _epoch_rng(seed, e)
-        values, state, epoch_loss, steps = _run_epoch(
-            spec, layout, values, state, train, rng, bs, lr, 0.0, None
-        )
-        total_steps += steps
-        train_losses.append(epoch_loss)
-        mse, mae = evaluate(spec, ParameterVector(values, layout), validation)
-        val_losses.append(mse)
-        val_maes.append(mae)
-        if stopper.best_epoch is None or mse < stopper.best:
-            best_values = values.copy()
-        if stopper.update(mse):
-            break
-    return TrainReport(
-        train_losses=tuple(train_losses),
-        val_losses=tuple(val_losses),
-        val_maes=tuple(val_maes),
-        steps=total_steps,
-        best_epoch=stopper.best_epoch,
-        params=ParameterVector(best_values, layout),
-        final_params=ParameterVector(values, layout),
-        state=state,
-        next_epoch=len(train_losses),
+    return _train(
+        spec, params, train, max_epochs, seed=seed, learning_rate=learning_rate,
+        batch_size=batch_size, validation=validation,
+        stopper=EarlyStopper(patience),
     )

@@ -152,9 +152,10 @@ def test_criterion_04_adaptive_aggregator_oracles():
         lam = float(rng.uniform(1e-4, 1e-1))
         w = rng.standard_normal(10)
         dw = rng.standard_normal(10)
+        # the client reports w + dw; the server derives dw back from w
         update = ClientUpdate(
             client_id="a",
-            delta=ParameterVector(dw.copy(), layout),
+            local_params=ParameterVector(w + dw, layout),
             n_samples=int(rng.integers(1, 50)),
             local_steps=int(rng.integers(1, 20)),
         )
@@ -205,7 +206,7 @@ def test_criterion_05_gradient_checks_all_architectures():
         coord_rng = np.random.Generator(np.random.PCG64(11))
         worst = 0.0
         for tensor in params.layout.tensors:
-            start, end = params.layout.offsets[tensor.name]
+            start, end, _ = params.layout.offsets[tensor.name]
             candidates = coord_rng.choice(
                 end - start, size=min(12, end - start), replace=False
             )

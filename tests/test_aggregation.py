@@ -10,7 +10,6 @@ from fedcast.aggregation import (
     ClientUpdate,
     ServerState,
     aggregate,
-    proximal_loss_term,
     weighted_delta,
 )
 from fedcast.nn.params import Layout, ParameterVector, TensorSpec
@@ -25,10 +24,9 @@ def pv(values):
     return ParameterVector(values, layout(len(values)))
 
 
-def update(cid, delta, n=1, steps=1, local=None):
+def update(cid, local, n=1, steps=1):
     return ClientUpdate(
-        client_id=cid, delta=pv(delta), n_samples=n, local_steps=steps,
-        local_params=pv(local) if local is not None else None,
+        client_id=cid, local_params=pv(local), n_samples=n, local_steps=steps,
     )
 
 
@@ -78,39 +76,21 @@ def test_client_update_validation():
         update("a", [1, 0, 0, 0], steps=0)
 
 
-# -------------------------------------------------------------- proximal term
-
-def test_proximal_examples():
-    loss, grad = proximal_loss_term(np.array([1.0]), np.array([0.0]), 0.1)
-    assert loss == pytest.approx(0.05)
-    assert grad[0] == pytest.approx(0.1)
-    loss, grad = proximal_loss_term(np.array([3.0, 4.0]), np.zeros(2), 2.0)
-    assert loss == pytest.approx(25.0)
-    assert np.allclose(grad, [6.0, 8.0])
-
-
-def test_proximal_mu_zero_and_errors():
-    loss, grad = proximal_loss_term(np.array([5.0]), np.array([1.0]), 0.0)
-    assert loss == 0.0 and np.all(grad == 0.0)
-    with pytest.raises(AggregationError):
-        proximal_loss_term(np.zeros(2), np.zeros(3), 1.0)
-    with pytest.raises(AggregationError):
-        proximal_loss_term(np.zeros(2), np.zeros(2), -1.0)
-
-
 # -------------------------------------------------------------- weighted delta
 
 def test_weighted_delta_arithmetic():
-    ups = [update("a", [1, 1, 1, 1], n=1), update("b", [4, 4, 4, 4], n=3)]
+    # the server derives delta_i = w_i - w: deltas 1 and 4 from w = 1
+    ups = [update("a", [2, 2, 2, 2], n=1), update("b", [5, 5, 5, 5], n=3)]
     # (1/4)*1 + (3/4)*4 = 3.25
-    assert np.allclose(weighted_delta(ups), 3.25)
+    assert np.allclose(weighted_delta(ups, pv([1.0, 1, 1, 1])), 3.25)
 
 
 def test_update_set_validation():
+    g = pv([0.0, 0, 0, 0])
     with pytest.raises(AggregationError):
-        weighted_delta([])
+        weighted_delta([], g)
     with pytest.raises(AggregationError):
-        weighted_delta([update("a", [1, 0, 0, 0]), update("a", [2, 0, 0, 0])])
+        weighted_delta([update("a", [1, 0, 0, 0]), update("a", [2, 0, 0, 0])], g)
     with pytest.raises(AggregationError):
         aggregate(
             AggregatorConfig(strategy="fedavg"),
@@ -125,8 +105,8 @@ def test_update_set_validation():
 def test_fedavg_eta_one_is_weighted_model_average():
     g = [1.0, 2.0, 3.0, 4.0]
     ups = [
-        update("a", [1, 0, 0, 0], n=3, local=[2, 2, 3, 4]),
-        update("b", [0, 1, 0, 0], n=1, local=[1, 3, 3, 4]),
+        update("a", [2, 2, 3, 4], n=3),
+        update("b", [1, 3, 3, 4], n=1),
     ]
     new, state = run("fedavg", ups, global_values=g)
     want = 0.75 * np.array([2.0, 2, 3, 4]) + 0.25 * np.array([1.0, 3, 3, 4])
@@ -136,7 +116,7 @@ def test_fedavg_eta_one_is_weighted_model_average():
 
 def test_fedavg_single_client_bitwise():
     local = np.array([0.1, -0.7, 3.3, 1e-9])
-    ups = [update("a", local - 1.0, n=5, local=local)]
+    ups = [update("a", local, n=5)]
     new, _ = run("fedavg", ups, global_values=[1.0, 1.0, 1.0, 1.0])
     assert np.array_equal(new.values, local)
 
@@ -149,8 +129,8 @@ def test_fedavg_eta_scales_delta():
 
 def test_simpleavg_unweighted_mean():
     ups = [
-        update("a", [0, 0, 0, 0], n=100, local=[1, 1, 1, 1]),
-        update("b", [0, 0, 0, 0], n=1, local=[3, 3, 3, 3]),
+        update("a", [1, 1, 1, 1], n=100),
+        update("b", [3, 3, 3, 3], n=1),
     ]
     new, _ = run("simpleavg", ups)
     assert np.allclose(new.values, 2.0)  # sample counts ignored
@@ -159,18 +139,14 @@ def test_simpleavg_unweighted_mean():
 def test_simpleavg_equals_fedavg_for_equal_counts():
     rng = np.random.Generator(np.random.PCG64(0))
     g = rng.standard_normal(4)
-    ups = [
-        update(cid, rng.standard_normal(4), n=7,
-               local=g + rng.standard_normal(4))
-        for cid in "abc"
-    ]
+    ups = [update(cid, g + rng.standard_normal(4), n=7) for cid in "abc"]
     a, _ = run("simpleavg", ups, global_values=g)
     b, _ = run("fedavg", ups, global_values=g)
     assert np.max(np.abs(a.values - b.values)) < 1e-12
 
 
 def test_medianavg_odd_and_even():
-    mk = lambda cid, v: update(cid, [0, 0, 0, 0], local=[v] * 4)
+    mk = lambda cid, v: update(cid, [v] * 4)
     odd, _ = run("medianavg", [mk("a", 1.0), mk("b", 5.0), mk("c", 2.0)])
     assert np.all(odd.values == 2.0)
     even, _ = run("medianavg", [mk("a", 1.0), mk("b", 5.0), mk("c", 2.0), mk("d", 4.0)])
@@ -179,9 +155,9 @@ def test_medianavg_odd_and_even():
 
 def test_medianavg_coordinatewise():
     ups = [
-        update("a", [0, 0, 0, 0], local=[1.0, 9.0, 0.0, 2.0]),
-        update("b", [0, 0, 0, 0], local=[2.0, 8.0, 5.0, 2.0]),
-        update("c", [0, 0, 0, 0], local=[3.0, 7.0, 1.0, 2.0]),
+        update("a", [1.0, 9.0, 0.0, 2.0]),
+        update("b", [2.0, 8.0, 5.0, 2.0]),
+        update("c", [3.0, 7.0, 1.0, 2.0]),
     ]
     new, _ = run("medianavg", ups)
     assert np.array_equal(new.values, [2.0, 8.0, 1.0, 2.0])
@@ -192,7 +168,7 @@ def test_medianavg_coordinatewise():
 def test_fedavgm_beta_zero_matches_fedavg():
     rng = np.random.Generator(np.random.PCG64(1))
     g = rng.standard_normal(4)
-    ups = [update(cid, rng.standard_normal(4), n=int(n))
+    ups = [update(cid, g + rng.standard_normal(4), n=int(n))
            for cid, n in zip("abc", (3, 5, 2))]
     a, _ = run("fedavgm", ups, global_values=g, beta=0.0)
     b, _ = run("fedavg", ups, global_values=g)
@@ -207,10 +183,10 @@ def test_fedavgm_momentum_recurrence_and_absorbed_eta():
     momentum = np.zeros(4)
     w = np.zeros(4)
     for r in range(3):
-        ups = [update("a", rng.standard_normal(4), n=2),
-               update("b", rng.standard_normal(4), n=3)]
+        d_a, d_b = rng.standard_normal(4), rng.standard_normal(4)
+        ups = [update("a", g + d_a, n=2), update("b", g + d_b, n=3)]
         got, state = run("fedavgm", ups, global_values=g, state=state, beta=beta)
-        dw = (2 / 5) * ups[0].delta.values + (3 / 5) * ups[1].delta.values
+        dw = (2 / 5) * d_a + (3 / 5) * d_b
         momentum = beta * momentum + dw
         w = w + momentum
         assert np.max(np.abs(got.values - w)) < 1e-14
@@ -225,7 +201,7 @@ def test_fedavgm_momentum_recurrence_and_absorbed_eta():
 def test_fednova_uniform_steps_matches_fedavg():
     rng = np.random.Generator(np.random.PCG64(3))
     g = rng.standard_normal(4)
-    ups = [update(cid, rng.standard_normal(4), n=int(n), steps=4)
+    ups = [update(cid, g + rng.standard_normal(4), n=int(n), steps=4)
            for cid, n in zip("abc", (2, 9, 4))]
     a, _ = run("fednova", ups, global_values=g, rho=0.0)
     b, _ = run("fedavg", ups, global_values=g)
@@ -252,7 +228,7 @@ def test_fednova_rho_momentum_recurrence():
     g = np.zeros(4)
     for r in range(3):
         delta = rng.standard_normal(4)
-        ups = [update("a", delta, n=3, steps=2)]
+        ups = [update("a", g + delta, n=3, steps=2)]
         got, state = run("fednova", ups, global_values=g, state=state, rho=rho)
         normalized = (3 / (3 * 2)) * delta
         momentum = rho * momentum + 2.0 * normalized  # coeff = (3*2)/3 = 2
@@ -289,7 +265,7 @@ def test_adaptive_five_round_scripted_oracle(strategy):
     state = ServerState.zeros(4)
     g = np.zeros(4)
     for dw in deltas:
-        got, state = run(strategy, [update("a", dw, n=1)], global_values=g,
+        got, state = run(strategy, [update("a", g + dw, n=1)], global_values=g,
                          state=state, server_lr=eta, adaptivity=lam)
         g = got.values
     want = scripted_adaptive(strategy, deltas, eta, lam, b1, b2)
@@ -310,8 +286,7 @@ def test_aggregate_is_update_order_invariant(strategy):
     rng = np.random.Generator(np.random.PCG64(6))
     g = rng.standard_normal(4)
     ups = [
-        update(cid, rng.standard_normal(4), n=int(n), steps=int(s),
-               local=g + rng.standard_normal(4))
+        update(cid, g + rng.standard_normal(4), n=int(n), steps=int(s))
         for cid, n, s in zip("abcd", (2, 7, 1, 4), (3, 1, 2, 5))
     ]
     state = ServerState(rng.standard_normal(4), np.abs(rng.standard_normal(4)),

@@ -91,6 +91,15 @@ def test_run_rejects_invalid_config(tmp_path, capsys):
     path.write_text(yaml.safe_dump({"name": "x", "setting": "bogus"}))
     assert main(["run", "--config", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+    # sections that are not mappings name their field instead of a traceback
+    for field, override in [
+        ("config.data.synthetic", {"data": {"synthetic": "abc"}}),
+        ("config.data.synthetic", {"data": {"synthetic": [1, 2]}}),
+        ("config.aggregator", {"aggregator": [1]}),
+    ]:
+        bad = write_config(tmp_path, **override)
+        assert main(["run", "--config", str(bad)]) == 2
+        assert field in capsys.readouterr().err
 
 
 def test_run_missing_config_file(tmp_path, capsys):

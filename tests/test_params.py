@@ -22,7 +22,7 @@ def toy_layout():
 
 def test_layout_offsets_contiguous():
     lay = toy_layout()
-    assert lay.offsets == {"a.w": (0, 6), "a.b": (6, 9)}
+    assert lay.offsets == {"a.w": (0, 6, (2, 3)), "a.b": (6, 9, (3,))}
     assert lay.size == 9
 
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from fedcast.aggregation import proximal_loss_term
 from fedcast.nn.models import ModelSpec, init_model, layout_for
 from fedcast.nn.params import Layout, ParameterVector, TensorSpec, zeros_like
 from fedcast.nn.training import (
@@ -174,7 +173,8 @@ def test_train_local_proximal_term_composition():
 
     idx = _epoch_rng(13, 0).permutation(w.count)
     base_loss, grad = loss_and_grad(SMALL, pv, w.inputs[idx], w.targets[idx])
-    prox_loss, prox_grad = proximal_loss_term(pv.values, anchor, mu)
+    d = pv.values - anchor
+    prox_loss, prox_grad = 0.5 * mu * float(d @ d), mu * d
     manual, _ = adam_step(AdamState.zeros(pv.size), pv, grad + prox_grad,
                           SMALL.learning_rate)
     assert np.array_equal(report.params.values, manual.values)
@@ -188,6 +188,12 @@ def test_train_local_validates_arguments():
         train_local(SMALL, pv, w, epochs=-1)
     with pytest.raises(ValueError):
         train_local(SMALL, pv, w, epochs=1, proximal_mu=0.1)  # no anchor
+    with pytest.raises(ValueError):
+        train_local(SMALL, pv, w, epochs=1, proximal_mu=-1.0,
+                    proximal_anchor=pv.values)
+    with pytest.raises(ValueError):
+        train_local(SMALL, pv, w, epochs=1, proximal_mu=1.0,
+                    proximal_anchor=np.zeros(3))
     with pytest.raises(ValueError):
         train_local(SMALL, pv, random_windows(0), epochs=1)
 
