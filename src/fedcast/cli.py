@@ -70,11 +70,9 @@ def _cmd_run(args) -> int:
     if args.seeds is not None:
         try:
             seeds = tuple(int(s) for s in args.seeds.split(",") if s)
+            config = dataclasses.replace(config, seeds=seeds)
         except ValueError as exc:
             raise ConfigError(f"--seeds: {exc}") from exc
-        if not seeds:
-            raise ConfigError("--seeds: expected at least one integer")
-        config = dataclasses.replace(config, seeds=seeds)
     summary = run_experiment(config, output_dir=args.output_dir)
     print(f"experiment {summary.name!r} ({summary.setting}): "
           f"{len(summary.runs)} runs -> {summary.output_dir}")

@@ -2,10 +2,14 @@
 
 A config picks a setting (individual, centralized, federated), a data
 source (CSV paths or a synthetic cohort), preprocessing, a model, and, for
-the federated setting, federation plus aggregator parameters. run_experiment
-executes every (grid cell, seed) pair, writes per-run artifacts (round or
-epoch CSVs, checkpoints, metric JSON), a manifest that reruns the experiment
-verbatim, and a summary with mean/std across seeds. All emitted bytes are
+the federated setting, federation plus aggregator parameters. A config
+mapping is decoded against the config dataclasses' field annotations, and
+each dataclass checks its own value rules, so a bad value raises ConfigError
+naming its path (config.data.synthetic.clients[0].days) before anything
+runs. config_to_dict is the inverse. run_experiment executes every (grid
+cell, seed) pair, writes per-run artifacts (round or epoch CSVs,
+checkpoints, metric JSON), a manifest that reruns the experiment verbatim,
+and a summary with mean/std across seeds. All emitted bytes are
 deterministic: same config, same files.
 """
 
@@ -15,9 +19,12 @@ import csv
 import dataclasses
 import itertools
 import json
-from dataclasses import dataclass
+import sys
+import typing
+from collections.abc import Mapping
+from dataclasses import MISSING, dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import yaml
@@ -45,13 +52,17 @@ from fedcast.metrics import MetricReport, evaluate_forecasts
 from fedcast.nn.models import ModelSpec, predict
 from fedcast.nn.params import ParameterVector, serialize_params
 from fedcast.nn.training import TrainReport
-from fedcast.synthetic import SyntheticClientSpec, SyntheticSpec, generate_synthetic
+from fedcast.synthetic import SyntheticSpec, generate_synthetic
 
 SETTINGS = ("individual", "centralized", "federated")
 
 
 class ConfigError(ValueError):
-    """Invalid experiment configuration; the message names the field path."""
+    """Invalid experiment configuration; the message names the field path.
+
+    A __post_init__ rule whose message starts with a field name ("rounds must
+    be >= 0") is reported at that field's path, any other at its section's.
+    """
 
 
 @dataclass(frozen=True)
@@ -72,12 +83,14 @@ class TrainingConfig:
 class DataConfig:
     """Exactly one source: CSV paths on disk or a synthetic cohort."""
 
-    paths: tuple[str, ...] = ()
+    paths: Optional[tuple[str, ...]] = None
     synthetic: Optional[SyntheticSpec] = None
 
     def __post_init__(self) -> None:
-        if bool(self.paths) == (self.synthetic is not None):
+        if (self.paths is None) == (self.synthetic is None):
             raise ValueError("provide exactly one of paths / synthetic")
+        if self.paths is not None and not self.paths:
+            raise ValueError("paths must name at least one CSV file")
 
 
 @dataclass(frozen=True)
@@ -87,26 +100,29 @@ class ExperimentConfig:
     output_dir: str
     seeds: tuple[int, ...]
     data: DataConfig
-    preprocessing: PreprocessConfig
     model: ModelSpec
+    preprocessing: PreprocessConfig = PreprocessConfig()
     training: TrainingConfig = TrainingConfig()
     federation: Optional[FederationConfig] = None
     aggregator: Optional[AggregatorConfig] = None
-    grid: Optional[dict[str, tuple]] = None
+    grid: Optional[dict[str, tuple[float, ...]]] = None
     fine_tune: bool = False
     fine_tune_epochs: int = 3
 
     def __post_init__(self) -> None:
         if self.setting not in SETTINGS:
             raise ValueError(f"setting must be one of {SETTINGS}")
-        if not self.seeds:
-            raise ValueError("seeds must be non-empty")
+        seeds = list(self.seeds)
+        if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
+            raise ValueError(f"seeds must be one or more distinct ints >= 0, got {seeds}")
         if self.setting == "federated":
             if self.federation is None or self.aggregator is None:
                 raise ValueError(
                     "federated setting requires federation and aggregator sections"
                 )
-        if self.grid:
+        if self.grid is not None:
+            if not self.grid or not all(self.grid.values()):
+                raise ValueError("grid must map parameters to non-empty value lists")
             agg_fields = {f.name for f in dataclasses.fields(AggregatorConfig)}
             for key in self.grid:
                 if key not in agg_fields or key == "strategy":
@@ -119,192 +135,114 @@ class ExperimentConfig:
             raise ValueError("fine_tune_epochs must be >= 0")
 
 
-def _mapping(value, path: str) -> dict:
-    """A config section as a fresh dict; ConfigError unless it is a mapping."""
+# Dataclasses built through a constructor other than their own: the
+# adaptive strategies take their reference beta1/beta2 unless the config
+# sets them.
+_CONSTRUCTORS: dict[type, Callable] = {AggregatorConfig: AggregatorConfig.for_strategy}
+
+
+def _decode(annotation, value, path: str):
+    """value checked against a field annotation and built into its type.
+
+    Dataclasses come from mappings (unknown keys and missing fields without
+    a default are errors), tuples from lists, and scalars are kept as
+    written: bool only from a bool, int from an int that is not a bool,
+    float from an int or a float within the finite float range. Raises
+    ConfigError naming the path.
+    """
+    if dataclasses.is_dataclass(annotation):
+        return _decode_dataclass(annotation, value, path)
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin is typing.Union:  # Optional[X]
+        (inner,) = (a for a in args if a is not type(None))
+        return None if value is None else _decode(inner, value, path)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path}: expected a list, got {type(value).__name__}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(args) != len(value):
+            raise ConfigError(f"{path}: expected {len(args)} items, got {len(value)}")
+        return tuple(
+            _decode(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, value))
+        )
+    if origin in (dict, Mapping):
+        if not isinstance(value, Mapping):
+            raise ConfigError(f"{path}: expected a mapping, got {type(value).__name__}")
+        key_type, value_type = args
+        return {
+            _decode(key_type, k, path): _decode(value_type, v, f"{path}.{k}")
+            for k, v in value.items()
+        }
+    if isinstance(value, bool) and annotation is not bool:
+        ok = False
+    elif annotation is float:
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    else:
+        ok = isinstance(value, annotation)
+    if not ok:
+        raise ConfigError(f"{path}: expected {annotation.__name__}, got {value!r}")
+    return value
+
+
+def _decode_dataclass(cls, value, path: str):
     if not isinstance(value, Mapping):
         raise ConfigError(f"{path}: expected a mapping, got {type(value).__name__}")
-    return dict(value)
-
-
-def _build(cls, payload: Mapping, path: str, casts: Optional[dict] = None):
-    """Construct a dataclass from a mapping, rejecting unknown keys."""
-    kwargs = _mapping(payload, path)
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(kwargs) - known)
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(value) - set(hints), key=str)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {unknown}")
-    for key, cast in (casts or {}).items():
-        if key in kwargs:
-            try:
-                kwargs[key] = cast(kwargs[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{path}.{key}: {exc}") from exc
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name in value:
+            kwargs[f.name] = _decode(hints[f.name], value[f.name], f"{path}.{f.name}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{path}.{f.name}: required")
     try:
-        return cls(**kwargs)
+        return _CONSTRUCTORS.get(cls, cls)(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        field = str(exc).split(" ", 1)[0]
+        where = f"{path}.{field}" if field in hints else path
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _encode(value):
+    """Plain YAML/JSON types; a dataclass field whose value is None is omitted."""
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: _encode(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+            if getattr(value, f.name) is not None
+        }
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    if isinstance(value, Mapping):
+        return {k: _encode(v) for k, v in value.items()}
+    return value
 
 
 def config_from_dict(raw: Mapping) -> ExperimentConfig:
-    """Parse and validate a config mapping (see config_to_dict for layout)."""
+    """Decode and validate a config mapping or a manifest that wraps one."""
     if not isinstance(raw, Mapping):
         raise ConfigError("config root must be a mapping")
     if "config" in raw and set(raw) <= {"config", "package_version", "format"}:
         # A manifest wraps the config it ran; accept it verbatim.
         raw = raw["config"]
-    top_known = {
-        "name", "setting", "output_dir", "seeds", "data", "preprocessing",
-        "model", "training", "federation", "aggregator", "grid",
-        "fine_tune", "fine_tune_epochs",
-    }
-    unknown = sorted(set(raw) - top_known)
-    if unknown:
-        raise ConfigError(f"config: unknown keys {unknown}")
-    for key in ("name", "setting", "output_dir", "seeds", "data", "model"):
-        if key not in raw:
-            raise ConfigError(f"config.{key}: required")
-
-    seeds = raw["seeds"]
-    if not isinstance(seeds, (list, tuple)) or not all(
-        isinstance(s, int) for s in seeds
-    ):
-        raise ConfigError("config.seeds: must be a list of integers")
-
-    data_raw = _mapping(raw["data"], "config.data")
-    synthetic = None
-    paths: tuple[str, ...] = ()
-    if "synthetic" in data_raw and "paths" in data_raw:
-        raise ConfigError("config.data: provide exactly one of paths / synthetic")
-    if "synthetic" in data_raw:
-        syn_raw = _mapping(data_raw["synthetic"], "config.data.synthetic")
-        clients_raw = syn_raw.pop("clients", None)
-        if not isinstance(clients_raw, list) or not clients_raw:
-            raise ConfigError("config.data.synthetic.clients: non-empty list required")
-        clients = tuple(
-            _build(SyntheticClientSpec, c, f"config.data.synthetic.clients[{i}]")
-            for i, c in enumerate(clients_raw)
-        )
-        synthetic = _build(
-            SyntheticSpec,
-            {**syn_raw, "clients": clients},
-            "config.data.synthetic",
-        )
-    elif "paths" in data_raw:
-        paths_raw = data_raw["paths"]
-        if not isinstance(paths_raw, list) or not paths_raw:
-            raise ConfigError("config.data.paths: non-empty list required")
-        paths = tuple(str(p) for p in paths_raw)
-    else:
-        raise ConfigError("config.data: provide exactly one of paths / synthetic")
-    data = _build(DataConfig, {"paths": paths, "synthetic": synthetic}, "config.data")
-
-    preprocessing = _build(
-        PreprocessConfig,
-        raw.get("preprocessing", {}),
-        "config.preprocessing",
-        casts={
-            "per_client_percentiles": lambda m: {
-                k: tuple(v) for k, v in dict(m).items()
-            },
-        },
-    )
-    model = _build(
-        ModelSpec,
-        raw["model"],
-        "config.model",
-        casts={"hidden_sizes": tuple, "conv_filters": tuple},
-    )
-    training = _build(TrainingConfig, raw.get("training", {}), "config.training")
-    federation = (
-        _build(FederationConfig, raw["federation"], "config.federation")
-        if "federation" in raw
-        else None
-    )
-    aggregator = None
-    if "aggregator" in raw:
-        agg_raw = _mapping(raw["aggregator"], "config.aggregator")
-        strategy = agg_raw.pop("strategy", None)
-        if strategy is None:
-            raise ConfigError("config.aggregator.strategy: required")
-        try:
-            aggregator = AggregatorConfig.for_strategy(strategy, **agg_raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config.aggregator: {exc}") from exc
-
-    grid = None
-    if raw.get("grid"):
-        grid = {}
-        for key, vals in _mapping(raw["grid"], "config.grid").items():
-            if not isinstance(vals, (list, tuple)) or not vals:
-                raise ConfigError(f"config.grid.{key}: non-empty list required")
-            grid[key] = tuple(vals)
-
-    return _build(
-        ExperimentConfig,
-        {
-            "name": raw["name"],
-            "setting": raw["setting"],
-            "output_dir": raw["output_dir"],
-            "seeds": tuple(seeds),
-            "data": data,
-            "preprocessing": preprocessing,
-            "model": model,
-            "training": training,
-            "federation": federation,
-            "aggregator": aggregator,
-            "grid": grid,
-            "fine_tune": raw.get("fine_tune", False),
-            "fine_tune_epochs": raw.get("fine_tune_epochs", 3),
-        },
-        "config",
-    )
+    return _decode(ExperimentConfig, raw, "config")
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     """Plain-type mapping; config_from_dict(config_to_dict(c)) == c."""
-    out: dict = {
-        "name": config.name,
-        "setting": config.setting,
-        "output_dir": config.output_dir,
-        "seeds": list(config.seeds),
-        "model": _dataclass_dict(config.model),
-        "preprocessing": _dataclass_dict(config.preprocessing),
-        "training": _dataclass_dict(config.training),
-        "fine_tune": config.fine_tune,
-        "fine_tune_epochs": config.fine_tune_epochs,
-    }
-    if config.data.synthetic is not None:
-        syn = _dataclass_dict(config.data.synthetic)
-        syn["clients"] = [_dataclass_dict(c) for c in config.data.synthetic.clients]
-        out["data"] = {"synthetic": syn}
-    else:
-        out["data"] = {"paths": list(config.data.paths)}
-    if config.federation is not None:
-        out["federation"] = _dataclass_dict(config.federation)
-    if config.aggregator is not None:
-        out["aggregator"] = _dataclass_dict(config.aggregator)
-    if config.grid:
-        out["grid"] = {k: list(v) for k, v in config.grid.items()}
-    return out
-
-
-def _dataclass_dict(obj) -> dict:
-    out = {}
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if isinstance(value, tuple):
-            value = list(value)
-        elif isinstance(value, Mapping):
-            value = {k: list(v) if isinstance(v, tuple) else v
-                     for k, v in value.items()}
-        out[f.name] = value
-    return out
+    return _encode(config)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read a YAML (or JSON: YAML superset) config or manifest file."""
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
+    try:
+        with open(path) as fh:
+            raw = yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigError(f"{path}: unreadable config: {exc}") from exc
     if raw is None:
         raise ConfigError(f"{path}: empty config")
     return config_from_dict(raw)

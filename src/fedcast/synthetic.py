@@ -59,6 +59,10 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not self.clients:
+            raise ValueError("clients must list at least one client")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         ids = [c.client_id for c in self.clients]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate client ids: {ids}")

@@ -83,7 +83,10 @@ def test_run_rejects_bad_seed_override(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["run", "--config", str(config), "--seeds", "a,b"]) == 2
     assert main(["run", "--config", str(config), "--seeds", ","]) == 2
+    assert main(["run", "--config", str(config), "--seeds=-1"]) == 2
+    assert main(["run", "--config", str(config), "--seeds", "0,0"]) == 2
     assert "--seeds" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_rejects_invalid_config(tmp_path, capsys):
@@ -91,15 +94,43 @@ def test_run_rejects_invalid_config(tmp_path, capsys):
     path.write_text(yaml.safe_dump({"name": "x", "setting": "bogus"}))
     assert main(["run", "--config", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
-    # sections that are not mappings name their field instead of a traceback
+    out_dir = tmp_path / "never"
+
+    def client(**fields):
+        return {"data": {"synthetic": {"clients": [{"client_id": "bs000", **fields}]}}}
+
     for field, override in [
+        # sections that are not mappings name their field instead of a traceback
         ("config.data.synthetic", {"data": {"synthetic": "abc"}}),
         ("config.data.synthetic", {"data": {"synthetic": [1, 2]}}),
         ("config.aggregator", {"aggregator": [1]}),
+        # values of the wrong type or out of range fail before any run starts
+        ("config.seeds[0]", {"seeds": [True]}),
+        ("config.seeds", {"seeds": [-1]}),
+        ("config.seeds", {"seeds": [0, 0]}),
+        ("config.federation.rounds", {
+            "federation": {"rounds": 1.5, "local_epochs": 1}
+        }),
+        ("config.fine_tune", {"fine_tune": "false"}),
+        ("config.grid.mu[0]", {"grid": {"mu": ["x"]}}),
+        ("config.data.synthetic.clients[0].days", client(days=1.5)),
+        ("config.data.synthetic.clients[0].client_id", client(client_id=7)),
+        ("config.model.hidden_sizes[0]", {
+            "model": {"architecture": "mlp", "hidden_sizes": [1.5]}
+        }),
+        ("config.output_dir", {"output_dir": 5}),
     ]:
         bad = write_config(tmp_path, **override)
-        assert main(["run", "--config", str(bad)]) == 2
+        assert main(["run", "--config", str(bad), "--output-dir", str(out_dir)]) == 2
         assert field in capsys.readouterr().err
+        assert not out_dir.exists()
+    # a file that is not YAML, or not a file, is named in the error
+    broken = tmp_path / "broken.yaml"
+    broken.write_text("name: [\n")
+    for source in (broken, tmp_path):
+        assert main(["run", "--config", str(source), "--output-dir", str(out_dir)]) == 2
+        assert str(source) in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 def test_run_missing_config_file(tmp_path, capsys):

@@ -1,9 +1,12 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedcast.aggregation import AggregatorConfig
 from fedcast.dataio import PreprocessConfig
@@ -141,6 +144,118 @@ def test_config_from_dict_input_errors(tmp_path):
     raw["aggregator"].pop("strategy")
     with pytest.raises(ConfigError, match="strategy"):
         config_from_dict(raw)
+
+
+def test_config_without_preprocessing_uses_defaults(tmp_path):
+    raw = config_to_dict(tiny_config(tmp_path))
+    del raw["preprocessing"]
+    assert config_from_dict(raw).preprocessing == PreprocessConfig()
+
+
+# Every value rule whose message starts with its field name, so a reworded
+# message that no longer resolves to the field's path fails here.
+@pytest.mark.parametrize("path, value", [
+    ("seeds", [-1]),
+    ("fine_tune_epochs", -1),
+    ("federation.rounds", -1),
+    ("federation.local_epochs", -1),
+    ("federation.sampling_fraction", 0.0),
+    ("preprocessing.window_size", 0),
+    ("training.max_epochs", 0),
+    ("training.patience", 0),
+    ("data.synthetic.clients", []),
+    ("data.synthetic.seed", -1),
+    ("model.window_size", 0),
+    ("model.batch_size", 0),
+    ("model.hidden_sizes", [0]),
+    ("model.conv_filters", [0]),
+    ("model.learning_rate", 0.0),
+    ("aggregator.server_lr", 0.0),
+    ("aggregator.mu", -1.0),
+    ("aggregator.beta", 1.0),
+    ("aggregator.adaptivity", 0.0),
+])
+def test_value_rule_reported_at_field_path(tmp_path, path, value):
+    raw = config_to_dict(tiny_config(tmp_path))
+    *sections, field = path.split(".")
+    node = raw
+    for key in sections:
+        node = node[key]
+    node[field] = value
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(raw)
+    assert str(exc.value).startswith(f"config.{path}: {field} ")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _node_paths(tree, path=()):
+    """Key paths of every section and leaf below tree."""
+    if isinstance(tree, dict):
+        items = tree.items()
+    elif isinstance(tree, list):
+        items = enumerate(tree)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _node_paths(child, path + (key,))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_mutated_config_parses_or_raises_config_error(data):
+    out = Path("unused")
+    federated = tiny_config(
+        out,
+        preprocessing=PreprocessConfig(
+            window_size=6, per_client_percentiles={"bs000": (5.0, 95.0)}
+        ),
+        aggregator=AggregatorConfig.for_strategy("fedadam"),
+        grid={"server_lr": (0.1, 1.0)},
+        fine_tune=True,
+    )
+    csv_paths = tiny_config(
+        out, setting="centralized", data=DataConfig(paths=("a.csv", "b.csv"))
+    )
+    raw = config_to_dict(data.draw(st.sampled_from([federated, csv_paths])))
+    # replace one leaf or section, or add or drop one key
+    *parents, key = data.draw(st.sampled_from(list(_node_paths(raw))))
+    node = raw
+    for k in parents:
+        node = node[k]
+    action = data.draw(st.sampled_from(["replace", "add", "drop"]))
+    if action == "replace":
+        node[key] = data.draw(JSON_VALUES)
+    elif action == "drop":
+        del node[key]
+    elif isinstance(node, dict):
+        node[data.draw(st.text(max_size=6))] = data.draw(JSON_VALUES)
+    else:
+        node.append(data.draw(JSON_VALUES))
+    try:
+        config = config_from_dict(raw)
+    except ConfigError:
+        return
+    assert config_from_dict(config_to_dict(config)) == config
+    # the manifest stores it as JSON
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
+
+
+def test_readme_quick_start_config_parses(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"```yaml\n(# experiment\.yaml\n.*?)```", readme, re.S)
+    path = tmp_path / "experiment.yaml"
+    path.write_text(block.group(1))
+    config = load_config(path)
+    assert (config.name, config.setting, config.seeds) == ("demo", "federated", (0, 1))
+    assert len(config.data.synthetic.clients) == 3
 
 
 def test_load_config_rejects_empty_file(tmp_path):
