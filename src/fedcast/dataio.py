@@ -202,32 +202,37 @@ def load_csv(path: str | Path, features: Sequence[str] = FEATURES) -> TimeSeries
     file stem.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, expected a header row")
-        if tuple(header[1:]) != tuple(features):
-            raise SchemaError(
-                f"{path}: feature columns {header[1:]} do not match the "
-                f"expected schema {list(features)}"
-            )
-        stamps: list[datetime] = []
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(features) + 1:
-                raise SchemaError(
-                    f"{path}:{lineno}: expected {len(features) + 1} columns, "
-                    f"got {len(row)}"
-                )
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
             try:
-                stamps.append(datetime.fromisoformat(row[0]))
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{lineno}: bad timestamp {row[0]!r}") from exc
-            rows.append([_parse_cell(cell) for cell in row[1:]])
+                header = next(reader)
+            except StopIteration:
+                raise SchemaError(f"{path}: empty file, expected a header row")
+            if tuple(header[1:]) != tuple(features):
+                raise SchemaError(
+                    f"{path}: feature columns {header[1:]} do not match the "
+                    f"expected schema {list(features)}"
+                )
+            stamps: list[datetime] = []
+            rows: list[list[float]] = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(features) + 1:
+                    raise SchemaError(
+                        f"{path}:{lineno}: expected {len(features) + 1} columns, "
+                        f"got {len(row)}"
+                    )
+                try:
+                    stamps.append(datetime.fromisoformat(row[0]))
+                except ValueError as exc:
+                    raise SchemaError(
+                        f"{path}:{lineno}: bad timestamp {row[0]!r}"
+                    ) from exc
+                rows.append([_parse_cell(cell) for cell in row[1:]])
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not a text file: {exc}") from exc
     values = (
         np.array(rows, dtype=np.float64)
         if rows

@@ -30,9 +30,10 @@ import numpy as np
 import yaml
 
 from fedcast import __version__
-from fedcast.aggregation import AggregatorConfig, TUNING_GRIDS
+from fedcast.aggregation import AggregatorConfig
 from fedcast.dataio import (
     ClientWindows,
+    DataError,
     PreprocessConfig,
     TimeSeriesDataset,
     load_csv,
@@ -46,7 +47,6 @@ from fedcast.federation import (
     megabytes,
     run_centralized,
     run_federated,
-    run_individual,
 )
 from fedcast.metrics import MetricReport, evaluate_forecasts
 from fedcast.nn.models import ModelSpec, predict
@@ -288,11 +288,6 @@ def _grid_cells(config: ExperimentConfig) -> list[tuple[str, dict]]:
     return cells
 
 
-def default_grid(strategy: str) -> dict[str, tuple]:
-    """The reference tuning grid for one aggregation strategy."""
-    return {k: tuple(v) for k, v in TUNING_GRIDS[strategy].items()}
-
-
 def _client_mean(reports: Mapping[str, MetricReport], attr: str) -> float:
     return float(np.mean([getattr(r, attr) for r in reports.values()]))
 
@@ -367,12 +362,11 @@ def run_experiment(
     config: ExperimentConfig, output_dir: Optional[str] = None
 ) -> ExperimentSummary:
     """Execute every (grid cell, seed) run and write all artifacts."""
-    out_root = Path(output_dir if output_dir is not None else config.output_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
-
     datasets = materialize_data(config)
     clients = preprocess_clients(datasets, config.preprocessing)
     spec = config.model
+    out_root = Path(output_dir if output_dir is not None else config.output_dir)
+    out_root.mkdir(parents=True, exist_ok=True)
 
     cells = _grid_cells(config)
     runs: list[RunResult] = []
@@ -428,7 +422,7 @@ def _run_once(
         _write_epochs_csv(run_dir / "epochs.csv", {"pooled": report})
         shared, best_index = report.params, report.best_epoch
     else:
-        reports = {cw.client_id: run_individual(spec, cw, *budget) for cw in clients}
+        reports = {cw.client_id: run_centralized(spec, [cw], *budget) for cw in clients}
         _write_epochs_csv(run_dir / "epochs.csv", reports)
         models = {cid: report.params for cid, report in reports.items()}
         checkpoints = {f"checkpoint-{cid}.bin": p for cid, p in models.items()}
@@ -459,22 +453,8 @@ def _run_once(
         per_client=per_client,
         fine_tuned=fine_tuned,
     )
-    _json_dump(run_dir / "metrics.json", _run_payload(result))
+    _json_dump(run_dir / "metrics.json", dataclasses.asdict(result))
     return result
-
-
-def _run_payload(result: RunResult) -> dict:
-    return {
-        "cell": result.cell,
-        "seed": result.seed,
-        "avg_nrmse": result.avg_nrmse,
-        "avg_mae": result.avg_mae,
-        "avg_rmse": result.avg_rmse,
-        "best_index": result.best_index,
-        "server_total_mb": result.server_total_mb,
-        "per_client": {k: v.to_dict() for k, v in sorted(result.per_client.items())},
-        "fine_tuned": {k: v.to_dict() for k, v in sorted(result.fine_tuned.items())},
-    }
 
 
 def _summary_payload(summary: ExperimentSummary) -> dict:
@@ -487,7 +467,7 @@ def _summary_payload(summary: ExperimentSummary) -> dict:
         cells.append(
             {
                 "cell": cell,
-                "runs": [_run_payload(r) for r in cell_runs],
+                "runs": [dataclasses.asdict(r) for r in cell_runs],
                 "mean_avg_nrmse": float(np.mean(nrmses)),
                 "std_avg_nrmse": float(np.std(nrmses)),
                 "mean_avg_mae": float(np.mean(maes)),
@@ -517,10 +497,13 @@ def emit_plot_data(run_dirs: Sequence[str | Path], out_path: str | Path) -> int:
         summary_path = root / "summary.json"
         if not summary_path.exists():
             raise FileNotFoundError(f"{root}: no summary.json (not a finished run?)")
-        with open(summary_path) as fh:
-            summary = json.load(fh)
-        name = summary["name"]
-        for cell in summary["cells"]:
+        try:
+            with open(summary_path) as fh:
+                summary = json.load(fh)
+            name, cells = summary["name"], summary["cells"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"{summary_path}: malformed summary: {exc!r}") from exc
+        for cell in cells:
             for run in cell["runs"]:
                 seed = run["seed"]
                 rows.extend(

@@ -5,9 +5,9 @@ per sampled client (each client keeps its own Adam state and epoch counter
 across rounds, so a one-epoch-per-round run retraces a plain local run
 step for step), aggregate the clients' local weights (the server derives
 each client's delta from the weights it broadcast), then evaluate the new
-global weights on every client's validation windows. The centralized and
-individual settings train on pooled or single-client windows through the
-same epoch loop, with early stopping.
+global weights on every client's validation windows. The centralized
+setting trains on pooled windows through the same epoch loop, with early
+stopping; the individual setting is a centralized run per single client.
 """
 
 from __future__ import annotations
@@ -92,9 +92,6 @@ class FederationHistory:
     final_global: ParameterVector
     payload_bytes: int
     client_ids: tuple[str, ...]
-
-    def sampled_sets(self) -> list[tuple[str, ...]]:
-        return [record.sampled for record in self.rounds]
 
 
 def client_stream_seed(seed: int, client_id: str) -> int:
@@ -272,7 +269,8 @@ def run_centralized(
     """Pool every client's train/validation windows and train one model.
 
     The shuffle stream is derived from the sorted client ids, so pooling a
-    single client reproduces run_individual for that client exactly.
+    single client trains on that client's own windows and stream: the
+    individual setting is one such run per client.
     """
     _check_cohort(clients)
     train = concat_windows([c.train for c in clients])
@@ -287,27 +285,6 @@ def run_centralized(
         max_epochs,
         patience,
         seed=client_stream_seed(seed, cohort_id),
-    )
-
-
-def run_individual(
-    spec: ModelSpec,
-    client: ClientWindows,
-    max_epochs: int,
-    patience: int,
-    seed: int = 0,
-    initial: Optional[ParameterVector] = None,
-) -> TrainReport:
-    """Train one model on one client's own windows only."""
-    params = initial if initial is not None else init_model(spec, seed)
-    return train_with_early_stopping(
-        spec,
-        params,
-        client.train,
-        client.validation,
-        max_epochs,
-        patience,
-        seed=client_stream_seed(seed, client.client_id),
     )
 
 
@@ -352,11 +329,6 @@ class CommunicationLedger:
     @property
     def server_total_bytes(self) -> int:
         return self.server_rx_bytes + self.server_tx_bytes
-
-    def client_total_bytes(self, client_id: str) -> int:
-        return self.per_client_uplink_bytes.get(
-            client_id, 0
-        ) + self.per_client_downlink_bytes.get(client_id, 0)
 
 
 def megabytes(n_bytes: int) -> float:

@@ -80,17 +80,6 @@ class MetricReport:
     avg_nrmse: float
     n_points: int
 
-    def to_dict(self) -> dict:
-        return {
-            "per_target_mae": list(self.per_target_mae),
-            "per_target_rmse": list(self.per_target_rmse),
-            "per_target_nrmse": list(self.per_target_nrmse),
-            "avg_mae": self.avg_mae,
-            "avg_rmse": self.avg_rmse,
-            "avg_nrmse": self.avg_nrmse,
-            "n_points": self.n_points,
-        }
-
 
 def evaluate_forecasts(
     predictions: np.ndarray, truth: np.ndarray, scaler: ScalerParams

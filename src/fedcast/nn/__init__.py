@@ -1,57 +1,1 @@
 """Neural forecasters: autodiff engine, architectures, training, serialization."""
-
-from fedcast.nn.engine import Tensor
-from fedcast.nn.params import (
-    Layout,
-    ParameterVector,
-    SerializationError,
-    TensorSpec,
-    deserialize_params,
-    payload_nbytes,
-    serialize_params,
-)
-from fedcast.nn.models import (
-    ARCHITECTURES,
-    ModelSpec,
-    forward,
-    init_model,
-    layout_for,
-    predict,
-)
-from fedcast.nn.training import (
-    AdamState,
-    EarlyStopper,
-    TrainReport,
-    adam_step,
-    evaluate,
-    loss_and_grad,
-    mse_loss,
-    train_local,
-    train_with_early_stopping,
-)
-
-__all__ = [
-    "ARCHITECTURES",
-    "AdamState",
-    "EarlyStopper",
-    "Layout",
-    "ModelSpec",
-    "ParameterVector",
-    "SerializationError",
-    "TensorSpec",
-    "TrainReport",
-    "Tensor",
-    "adam_step",
-    "deserialize_params",
-    "evaluate",
-    "forward",
-    "init_model",
-    "layout_for",
-    "loss_and_grad",
-    "mse_loss",
-    "payload_nbytes",
-    "predict",
-    "serialize_params",
-    "train_local",
-    "train_with_early_stopping",
-]

@@ -98,10 +98,6 @@ def layout_for(spec: ModelSpec) -> Layout:
     return Layout(tuple(tensors), tag=spec.architecture)
 
 
-def parameter_count(spec: ModelSpec) -> int:
-    return layout_for(spec).size
-
-
 def init_model(spec: ModelSpec, seed: int) -> ParameterVector:
     """Deterministic init: one PCG64 stream, tensors drawn in layout order."""
     layout = layout_for(spec)

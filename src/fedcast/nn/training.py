@@ -41,9 +41,14 @@ class AdamState:
                          np.zeros(size, dtype=np.float64))
 
 
-def _adam_step_arrays(
+def adam_step(
     state: AdamState, values: np.ndarray, grad: np.ndarray, lr: float
 ) -> tuple[np.ndarray, AdamState]:
+    """One bias-corrected Adam update: theta -= lr * m_hat / (sqrt(v_hat) + eps)."""
+    if grad.shape != values.shape:
+        raise ValueError(
+            f"gradient shape {grad.shape} does not match parameters {values.shape}"
+        )
     t = state.step + 1
     m = state.beta1 * state.m + (1.0 - state.beta1) * grad
     v = state.beta2 * state.v + (1.0 - state.beta2) * (grad * grad)
@@ -51,32 +56,6 @@ def _adam_step_arrays(
     v_hat = v / (1.0 - state.beta2 ** t)
     new_values = values - lr * m_hat / (np.sqrt(v_hat) + state.eps)
     return new_values, AdamState(m, v, t, state.beta1, state.beta2, state.eps)
-
-
-def adam_step(
-    state: AdamState, params: ParameterVector, grad: np.ndarray, lr: float
-) -> tuple[ParameterVector, AdamState]:
-    """One bias-corrected Adam update: theta -= lr * m_hat / (sqrt(v_hat) + eps)."""
-    if grad.shape != params.values.shape:
-        raise ValueError(
-            f"gradient shape {grad.shape} does not match parameters "
-            f"{params.values.shape}"
-        )
-    values, new_state = _adam_step_arrays(state, params.values, grad, lr)
-    return params.replace_values(values), new_state
-
-
-def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> float:
-    """Mean over every element of the squared error matrix."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if predictions.shape != targets.shape:
-        raise ValueError(
-            f"shape mismatch: predictions {predictions.shape}, "
-            f"targets {targets.shape}"
-        )
-    diff = predictions - targets
-    return float(np.mean(diff * diff))
 
 
 def loss_and_grad(
@@ -174,8 +153,6 @@ def _run_epoch(
     state: AdamState,
     train: WindowedDataset,
     rng: np.random.Generator,
-    batch_size: int,
-    lr: float,
     proximal_mu: float,
     proximal_anchor: Optional[np.ndarray],
 ) -> tuple[np.ndarray, AdamState, float, int]:
@@ -183,8 +160,8 @@ def _run_epoch(
     perm = rng.permutation(n)
     weighted_loss = 0.0
     steps = 0
-    for lo in range(0, n, batch_size):
-        idx = perm[lo : lo + batch_size]
+    for lo in range(0, n, spec.batch_size):
+        idx = perm[lo : lo + spec.batch_size]
         pv = ParameterVector(values, layout)
         loss, grad = loss_and_grad(spec, pv, train.inputs[idx], train.targets[idx])
         if proximal_mu > 0.0:
@@ -194,7 +171,7 @@ def _run_epoch(
             diff = values - proximal_anchor
             loss += 0.5 * proximal_mu * float(diff @ diff)
             grad += proximal_mu * diff
-        values, state = _adam_step_arrays(state, values, grad, lr)
+        values, state = adam_step(state, values, grad, spec.learning_rate)
         weighted_loss += loss * len(idx)
         steps += 1
     return values, state, weighted_loss / n, steps
@@ -211,8 +188,6 @@ def _train(
     anchor: Optional[np.ndarray] = None,
     state: Optional[AdamState] = None,
     epoch_offset: int = 0,
-    learning_rate: Optional[float] = None,
-    batch_size: Optional[int] = None,
     validation: Optional[WindowedDataset] = None,
     stopper: Optional[EarlyStopper] = None,
 ) -> TrainReport:
@@ -227,8 +202,6 @@ def _train(
     values = params.values.copy()
     best_values = values
     state = state if state is not None else AdamState.zeros(layout.size)
-    lr = learning_rate if learning_rate is not None else spec.learning_rate
-    bs = batch_size if batch_size is not None else spec.batch_size
     train_losses: list[float] = []
     val_losses: list[float] = []
     val_maes: list[float] = []
@@ -236,7 +209,7 @@ def _train(
     for e in range(epochs):
         rng = _epoch_rng(seed, epoch_offset + e)
         values, state, epoch_loss, steps = _run_epoch(
-            spec, layout, values, state, train, rng, bs, lr, proximal_mu, anchor
+            spec, layout, values, state, train, rng, proximal_mu, anchor
         )
         total_steps += steps
         train_losses.append(epoch_loss)
@@ -273,8 +246,6 @@ def train_local(
     proximal_anchor: Optional[np.ndarray] = None,
     state: Optional[AdamState] = None,
     epoch_offset: int = 0,
-    learning_rate: Optional[float] = None,
-    batch_size: Optional[int] = None,
 ) -> TrainReport:
     """Run a fixed number of epochs; returns the final weights.
 
@@ -296,7 +267,6 @@ def train_local(
     return _train(
         spec, params, train, epochs, seed=seed, proximal_mu=proximal_mu,
         anchor=anchor, state=state, epoch_offset=epoch_offset,
-        learning_rate=learning_rate, batch_size=batch_size,
     )
 
 
@@ -309,8 +279,6 @@ def train_with_early_stopping(
     patience: int,
     *,
     seed: int = 0,
-    learning_rate: Optional[float] = None,
-    batch_size: Optional[int] = None,
 ) -> TrainReport:
     """Train until validation MSE stops improving for `patience` epochs.
 
@@ -323,7 +291,6 @@ def train_with_early_stopping(
     if validation is None or validation.count == 0:
         raise ValueError("early stopping requires non-empty validation windows")
     return _train(
-        spec, params, train, max_epochs, seed=seed, learning_rate=learning_rate,
-        batch_size=batch_size, validation=validation,
+        spec, params, train, max_epochs, seed=seed, validation=validation,
         stopper=EarlyStopper(patience),
     )

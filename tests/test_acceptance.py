@@ -1,15 +1,16 @@
 """Acceptance gate: one test per release criterion.
 
 Each test is an end-to-end check at its stated tolerance; `pytest -v` gives
-the per-criterion pass/fail lines. The slow criteria (07-09) run real
-federated LSTM sessions on synthetic cohorts and together take a few
-minutes.
+the per-criterion pass/fail lines. The slow criteria (07, 08, 09, 11) run
+real federated sessions on synthetic cohorts and together take a few
+minutes; they carry the `slow` marker, so `pytest -m "not slow"` skips them.
 """
 
 import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from fedcast.aggregation import (
     ADAPTIVE_BETAS,
@@ -260,6 +261,7 @@ def inject_train_spikes(ds, seed, prob=0.05, magnitude=12.0):
     )
 
 
+@pytest.mark.slow
 def test_criterion_07_flood_cap_beats_no_preprocessing_on_spiky_traces():
     # paired 5-seed comparison: (10, 90) flooring/capping vs raw windows
     with_cap, without_cap = [], []
@@ -296,6 +298,7 @@ def drifting_cohort(seed):
     return SyntheticSpec(clients=clients, seed=seed)
 
 
+@pytest.mark.slow
 def test_criterion_08_global_scaling_at_least_as_good_as_local():
     # when one client drifts beyond its own training range, globally shared
     # min-max bounds transfer knowledge from the stationary clients
@@ -321,6 +324,7 @@ def test_criterion_08_global_scaling_at_least_as_good_as_local():
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_federated_close_to_centralized():
     # R=30, E=3 federated LSTM vs 270-epoch early-stopped centralized
     # training on the pooled windows: within 15% on validation MAE
@@ -366,6 +370,7 @@ def test_criterion_10_metric_oracles():
         assert abs(ks_statistic(a, b) - best) < 1e-12
 
 
+@pytest.mark.slow
 def test_criterion_11_manifest_rerun_byte_identical(tmp_path):
     # the full federated experiment, run twice from the same manifest,
     # writes byte-identical round CSVs and checkpoints

@@ -58,6 +58,14 @@ def test_generate_requires_synthetic_data(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_generate_rejects_out_dir_that_is_a_file(tmp_path, capsys):
+    config = write_config(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["generate", "--config", str(config), "--out-dir", str(taken)]) == 2
+    assert str(taken) in capsys.readouterr().err
+
+
 def test_run_executes_experiment(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["run", "--config", str(config)]) == 0
@@ -133,6 +141,20 @@ def test_run_rejects_invalid_config(tmp_path, capsys):
         assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("kind", ["directory", "missing", "not-utf8"])
+def test_run_rejects_unreadable_data_path(tmp_path, capsys, kind):
+    path = tmp_path / "bs000.csv"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"time,\xff\xfe\n")
+    config = write_config(tmp_path, setting="centralized", data={"paths": [str(path)]})
+    out_dir = tmp_path / "never"
+    assert main(["run", "--config", str(config), "--output-dir", str(out_dir)]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_run_missing_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.yaml")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -173,9 +195,16 @@ def test_full_chain_generate_run_report(tmp_path, capsys):
 
 
 def test_report_rejects_unfinished_dir(tmp_path, capsys):
-    assert main(["report", "--runs", str(tmp_path), "--out",
-                 str(tmp_path / "p.csv")]) == 2
+    plot = tmp_path / "p.csv"
+    assert main(["report", "--runs", str(tmp_path), "--out", str(plot)]) == 2
     assert "summary.json" in capsys.readouterr().err
+    # a summary that is not JSON, or lacks name or cells, is named too
+    summary = tmp_path / "summary.json"
+    for text in ("{not json", json.dumps({"cells": []}), json.dumps({"name": "x"})):
+        summary.write_text(text)
+        assert main(["report", "--runs", str(tmp_path), "--out", str(plot)]) == 2
+        assert str(summary) in capsys.readouterr().err
+    assert not plot.exists()
 
 
 def test_cli_requires_subcommand():

@@ -18,7 +18,6 @@ from fedcast.experiment import (
     _grid_cells,
     config_from_dict,
     config_to_dict,
-    default_grid,
     emit_plot_data,
     load_config,
     materialize_data,
@@ -258,6 +257,15 @@ def test_readme_quick_start_config_parses(tmp_path):
     assert len(config.data.synthetic.clients) == 3
 
 
+def test_readme_quick_start_api_imports():
+    # a public name the README's API example imports must not disappear
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## Quick start \(API\)\n\n```python\n(.*?)```", readme, re.S)
+    imports = [line for line in block.group(1).splitlines() if line.startswith("from ")]
+    assert len(imports) == 6
+    exec("\n".join(imports), {})
+
+
 def test_load_config_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.yaml"
     path.write_text("")
@@ -276,11 +284,6 @@ def test_grid_cells_product_and_labels(tmp_path):
     ]
     assert cells[0][1] == {"adaptivity": 1e-3, "server_lr": 0.1}
     assert _grid_cells(tiny_config(tmp_path)) == [("base", {})]
-
-
-def test_default_grid_mirrors_tuning_table():
-    assert default_grid("fedprox") == {"mu": (1e-3, 1e-2, 1e-1, 1.0)}
-    assert set(default_grid("fedadam")) == {"server_lr", "adaptivity"}
 
 
 def test_materialize_synthetic(tmp_path):
@@ -318,6 +321,16 @@ def test_federated_experiment_artifacts(tmp_path):
         assert metrics["seed"] == seed
         assert 0.0 < metrics["avg_nrmse"] < 10.0
         assert set(metrics["per_client"]) == {"bs000", "bs001"}
+        report = summary.runs[seed].per_client["bs000"]
+        assert metrics["per_client"]["bs000"] == {
+            "per_target_mae": list(report.per_target_mae),
+            "per_target_rmse": list(report.per_target_rmse),
+            "per_target_nrmse": list(report.per_target_nrmse),
+            "avg_mae": report.avg_mae,
+            "avg_rmse": report.avg_rmse,
+            "avg_nrmse": report.avg_nrmse,
+            "n_points": report.n_points,
+        }
         # full participation: both directions, all clients, every round
         payload = params.size * 8
         assert metrics["server_total_mb"] == 2 * payload * 2 * 2 / 1e6

@@ -15,11 +15,10 @@ from fedcast.federation import (
     megabytes,
     run_centralized,
     run_federated,
-    run_individual,
     sample_clients,
 )
 from fedcast.nn.models import ModelSpec, init_model
-from fedcast.nn.training import evaluate, train_local
+from fedcast.nn.training import evaluate, train_local, train_with_early_stopping
 
 SPEC = ModelSpec(
     architecture="mlp", window_size=4, n_features=3, n_targets=2,
@@ -191,7 +190,7 @@ def test_round_records_account_participation():
                 assert s.uplink_bytes == s.downlink_bytes == 0
                 assert s.train_loss is None
                 assert s.local_steps == 0
-    assert len(hist.sampled_sets()) == 4
+    assert len(hist.rounds) == 4
 
 
 def test_aggregate_validation_is_count_weighted():
@@ -228,7 +227,7 @@ def test_run_federated_deterministic():
     h1 = run_federated(SPEC, clients, fed(rounds=3, seed=1), FEDAVG)
     h2 = run_federated(SPEC, clients, fed(rounds=3, seed=1), FEDAVG)
     assert np.array_equal(h1.final_global.values, h2.final_global.values)
-    assert h1.sampled_sets() == h2.sampled_sets()
+    assert [r.sampled for r in h1.rounds] == [r.sampled for r in h2.rounds]
     assert [r.agg_val_mse for r in h1.rounds] == [r.agg_val_mse for r in h2.rounds]
 
 
@@ -246,9 +245,14 @@ def test_fedprox_mu_zero_matches_fedavg_bitwise():
 # -------------------------------------------------------- baselines and tuning
 
 def test_centralized_single_client_equals_individual():
+    # the individual setting: early stopping on one client's own windows,
+    # shuffled by that client's own stream
     cw = client("only")
     cent = run_centralized(SPEC, [cw], max_epochs=6, patience=3, seed=7)
-    indiv = run_individual(SPEC, cw, max_epochs=6, patience=3, seed=7)
+    indiv = train_with_early_stopping(
+        SPEC, init_model(SPEC, 7), cw.train, cw.validation, 6, 3,
+        seed=client_stream_seed(7, "only"),
+    )
     assert np.array_equal(cent.params.values, indiv.params.values)
     assert cent.val_losses == indiv.val_losses
 
@@ -260,14 +264,14 @@ def test_centralized_pools_all_clients():
     assert report.steps == 5
 
 
-def test_run_individual_learns_and_is_deterministic():
+def test_single_client_run_learns_and_is_deterministic():
     cw = client("learner", n_train=48, n_val=16)
     initial = init_model(SPEC, 0)
     base_mse, _ = evaluate(SPEC, initial, cw.validation)
-    r1 = run_individual(SPEC, cw, max_epochs=12, patience=12, seed=0,
-                        initial=initial)
-    r2 = run_individual(SPEC, cw, max_epochs=12, patience=12, seed=0,
-                        initial=initial)
+    r1 = run_centralized(SPEC, [cw], max_epochs=12, patience=12, seed=0,
+                         initial=initial)
+    r2 = run_centralized(SPEC, [cw], max_epochs=12, patience=12, seed=0,
+                         initial=initial)
     assert np.array_equal(r1.params.values, r2.params.values)
     assert min(r1.val_losses) < base_mse
 
@@ -300,7 +304,6 @@ def test_ledger_reference_session_sizes():
     for cid in ("a", "b", "c"):
         assert megabytes(ledger.per_client_uplink_bytes[cid]) == 2.3472
         assert megabytes(ledger.per_client_downlink_bytes[cid]) == 2.3472
-        assert ledger.client_total_bytes(cid) == 2 * 2_347_200
     assert megabytes(ledger.server_rx_bytes) == 7.0416
     assert megabytes(ledger.server_tx_bytes) == 7.0416
     assert ledger.server_total_bytes == 2 * 7_041_600
@@ -327,7 +330,8 @@ def test_ledger_zero_rounds():
     ledger = account_communication(hist)
     assert ledger.rounds_counted == 0
     assert ledger.server_total_bytes == 0
-    assert ledger.client_total_bytes("a") == 0
+    assert ledger.per_client_uplink_bytes == {"a": 0}
+    assert ledger.per_client_downlink_bytes == {"a": 0}
 
 
 def test_ledger_validation():

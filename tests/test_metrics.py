@@ -233,12 +233,3 @@ def test_evaluate_input_validation():
         evaluate_forecasts(np.zeros((2, 4)), np.zeros((2, 4)), s)
     with pytest.raises(ValueError):
         evaluate_forecasts(np.zeros((0, 5)), np.zeros((0, 5)), s)
-
-
-def test_report_to_dict_round_trip():
-    truth = np.full((2, 5), 0.5)
-    report = evaluate_forecasts(truth + 0.1, truth, unit_scaler())
-    d = report.to_dict()
-    assert d["avg_mae"] == report.avg_mae
-    assert d["per_target_rmse"] == list(report.per_target_rmse)
-    assert d["n_points"] == 2

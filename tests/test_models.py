@@ -7,7 +7,6 @@ from fedcast.nn.models import (
     forward,
     init_model,
     layout_for,
-    parameter_count,
     predict,
 )
 from fedcast.nn.params import zeros_like
@@ -20,14 +19,14 @@ def test_mlp_parameter_count():
     # (110*256+256) + (256*128+128) + (128*64+64) + (64*5+5)
     expected = (110 * 256 + 256) + (256 * 128 + 128) + (128 * 64 + 64) + (64 * 5 + 5)
     assert expected == 69_893
-    assert parameter_count(ModelSpec(architecture="mlp")) == expected
+    assert layout_for(ModelSpec(architecture="mlp")).size == expected
 
 
 def test_rnn_parameter_count():
     # single combined bias: (11*128 + 128*128 + 128) + dense head + output
     expected = (11 * 128 + 128 * 128 + 128) + (128 * 128 + 128) + (128 * 5 + 5)
     assert expected == 35_077
-    assert parameter_count(ModelSpec(architecture="rnn")) == expected
+    assert layout_for(ModelSpec(architecture="rnn")).size == expected
 
 
 def test_lstm_parameter_count():
@@ -38,7 +37,7 @@ def test_lstm_parameter_count():
         + (128 * 5 + 5)
     )
     assert expected == 88_837
-    assert parameter_count(ModelSpec(architecture="lstm")) == expected
+    assert layout_for(ModelSpec(architecture="lstm")).size == expected
 
 
 def test_gru_parameter_count():
@@ -49,7 +48,7 @@ def test_gru_parameter_count():
         + (128 * 5 + 5)
     )
     assert expected == 70_917
-    assert parameter_count(ModelSpec(architecture="gru")) == expected
+    assert layout_for(ModelSpec(architecture="gru")).size == expected
 
 
 def test_cnn_parameter_count():
@@ -61,7 +60,7 @@ def test_cnn_parameter_count():
         channels = f
     expected = conv + (32 * 128 + 128) + (128 * 5 + 5)
     assert expected == 21_237
-    assert parameter_count(ModelSpec(architecture="cnn")) == expected
+    assert layout_for(ModelSpec(architecture="cnn")).size == expected
 
 
 # -------------------------------------------------------------- initialization
