@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import sys
@@ -185,10 +186,16 @@ def _decode(annotation, value, path: str):
     return value
 
 
+@functools.cache
+def _field_types(cls) -> dict[str, object]:
+    """typing.get_type_hints of a config dataclass, evaluated once per class."""
+    return typing.get_type_hints(cls)
+
+
 def _decode_dataclass(cls, value, path: str):
     if not isinstance(value, Mapping):
         raise ConfigError(f"{path}: expected a mapping, got {type(value).__name__}")
-    hints = typing.get_type_hints(cls)
+    hints = _field_types(cls)
     unknown = sorted(set(value) - set(hints), key=str)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {unknown}")
@@ -497,29 +504,34 @@ def emit_plot_data(run_dirs: Sequence[str | Path], out_path: str | Path) -> int:
         summary_path = root / "summary.json"
         if not summary_path.exists():
             raise FileNotFoundError(f"{root}: no summary.json (not a finished run?)")
+        # (cell, seed, run directory, final-metric rows) of every run
+        runs = []
         try:
             with open(summary_path) as fh:
                 summary = json.load(fh)
-            name, cells = summary["name"], summary["cells"]
+            name = summary["name"]
+            for cell in summary["cells"]:
+                for run in cell["runs"]:
+                    seed = run["seed"]
+                    final = [
+                        [name, cell["cell"], seed, -1, metric, run[metric]]
+                        for metric in ("avg_nrmse", "avg_mae", "avg_rmse")
+                        if run[metric] is not None
+                    ]
+                    run_path = root / cell["cell"] / f"seed-{seed}"
+                    runs.append((cell["cell"], seed, run_path, final))
         except (ValueError, KeyError, TypeError) as exc:
             raise DataError(f"{summary_path}: malformed summary: {exc!r}") from exc
-        for cell in cells:
-            for run in cell["runs"]:
-                seed = run["seed"]
-                rows.extend(
-                    [name, cell["cell"], seed, -1, metric, run[metric]]
-                    for metric in ("avg_nrmse", "avg_mae", "avg_rmse")
-                    if run[metric] is not None
-                )
-                run_dir2 = root / cell["cell"] / f"seed-{seed}"
-                rounds_csv = run_dir2 / "rounds.csv"
-                epochs_csv = run_dir2 / "epochs.csv"
-                if rounds_csv.exists():
-                    rows.extend(_curve_rows(name, cell["cell"], seed, rounds_csv,
-                                            "round", ("agg_val_mse", "agg_val_mae")))
-                elif epochs_csv.exists():
-                    rows.extend(_curve_rows(name, cell["cell"], seed, epochs_csv,
-                                            "epoch", ("val_mse", "val_mae")))
+        for cell, seed, run_path, final in runs:
+            rows.extend(final)
+            rounds_csv = run_path / "rounds.csv"
+            epochs_csv = run_path / "epochs.csv"
+            if rounds_csv.exists():
+                rows.extend(_curve_rows(name, cell, seed, rounds_csv,
+                                        "round", ("agg_val_mse", "agg_val_mae")))
+            elif epochs_csv.exists():
+                rows.extend(_curve_rows(name, cell, seed, epochs_csv,
+                                        "epoch", ("val_mse", "val_mae")))
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["experiment", "cell", "seed", "round", "metric", "value"])
@@ -532,7 +544,12 @@ def _curve_rows(name, cell, seed, csv_path: Path, index_col, metrics) -> list[li
     seen: set[tuple[int, str]] = set()
     with open(csv_path, newline="") as fh:
         for record in csv.DictReader(fh):
-            idx = int(record[index_col])
+            try:
+                idx = int(record[index_col])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataError(
+                    f"{csv_path}: malformed {index_col} column: {exc!r}"
+                ) from exc
             client = record.get("client", "")
             for metric in metrics:
                 value = record.get(metric, "")

@@ -5,6 +5,12 @@ that scatters the output gradient back to its parents. backward() walks the
 graph once in reverse topological order. Everything is float64; graphs are
 built per call and garbage-collected afterwards, so no global state exists
 and identical inputs produce bit-identical gradients.
+
+Most ops are small and close over their inputs. recurrent is the exception:
+one op runs a whole RNN, LSTM or GRU layer, saves its own buffers for the
+backward pass through time (the gate activations, the cell states and the
+stacked hidden states of every step) and writes the gradients of its four
+inputs in one backward call.
 """
 
 from __future__ import annotations
@@ -259,3 +265,158 @@ def conv2d(x, w, b, kernel: int, padding: int) -> Tensor:
             _accum(x, g_x.copy())
 
     return _make(out, (x, w, b), backward)
+
+
+def recurrent(cell: str, x, w_x, w_h, b) -> Tensor:
+    """One recurrent layer over a (B, T, d) window; returns the last (B, U) state.
+
+    cell is "rnn" (h = tanh(z)), "lstm" (gates input, forget, cell, output)
+    or "gru" (reset, update, candidate; the reset gate scales h before its
+    w_h block), with z = x_t @ w_x + b + h @ w_h. w_x: (d, G*U),
+    w_h: (U, G*U), b: (G*U,); the initial states are zero.
+
+    Following Appleyard et al. (arXiv:1604.01946), the input projection of
+    all T steps is computed before the recurrence, leaving one recurrent
+    GEMM and the fused gate math per step. Steps are feature-major,
+    (features, B), so every gate is a contiguous block of rows. The
+    (T, G*U, B) projection buffer is overwritten step by step with the gate
+    activations. The backward pass through time reads them with the saved
+    states, then forms each weight gradient with one GEMM over the stacked
+    (features, T*B) arrays.
+    """
+    x, w_x, w_h, b = (_as_tensor(a) for a in (x, w_x, w_h, b))
+    cell_forward, cell_backward = _CELLS[cell]
+    batch, steps, n_in = x.data.shape
+    units = w_h.data.shape[0]
+    # Stacks are (features, T, B), so each is a (features, T*B) matrix
+    # without a copy. A row of ones after the d features carries the bias
+    # through the input GEMM, and its gradient through the weight GEMM.
+    xs = np.ones((n_in + 1, steps, batch))
+    xs[:n_in] = x.data.transpose(2, 1, 0)
+    acts = np.matmul(np.vstack([w_x.data, b.data]).T, xs.transpose(1, 0, 2))
+    hs = np.zeros((units, steps + 1, batch))  # hs[:, t]: the state entering step t
+    saved = cell_forward(acts, hs, w_h.data)
+
+    def backward(g):
+        dz = np.empty((acts.shape[1], steps, batch))
+        g_w_h = cell_backward(np.ascontiguousarray(g.T), acts, hs, w_h.data, saved, dz)
+        dz = _flat(dz)
+        g_w_xb = _flat(xs) @ dz.T
+        _accum(w_x, g_w_xb[:n_in])
+        _accum(w_h, g_w_h)
+        _accum(b, g_w_xb[n_in])
+        if x.requires_grad:
+            _accum(x, (w_x.data @ dz).reshape(n_in, steps, batch).transpose(2, 1, 0))
+
+    return _make(np.ascontiguousarray(hs[:, -1].T), (x, w_x, w_h, b), backward)
+
+
+def _sigmoid_(z: np.ndarray) -> None:
+    """z <- 1 / (1 + exp(-z)), in place."""
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    np.reciprocal(z, out=z)
+
+
+def _flat(stack: np.ndarray) -> np.ndarray:
+    """A (features, T, B) stack as one (features, T*B) matrix."""
+    return stack.reshape(len(stack), -1)
+
+
+# A cell's forward pass fills acts[t] with the gate activations and
+# hs[:, t + 1] with the states, and returns what else its backward pass
+# needs. The backward pass starts from dL/dh_T (U, B), fills dz[:, t] with
+# the gradient of the pre-activations z of step t and returns the gradient
+# of w_h.
+
+def _rnn_forward(acts, hs, w_h):
+    for t in range(len(acts)):
+        z = acts[t]
+        z += w_h.T @ hs[:, t]
+        np.tanh(z, out=z)
+        hs[:, t + 1] = z
+
+
+def _rnn_backward(dh, acts, hs, w_h, saved, dz):
+    for t in reversed(range(len(acts))):
+        np.multiply(dh, 1.0 - acts[t] * acts[t], out=dz[:, t])
+        dh = w_h @ dz[:, t]
+    return _flat(hs[:, :-1]) @ _flat(dz).T
+
+
+def _lstm_forward(acts, hs, w_h):
+    units = len(hs)
+    cs = np.zeros((len(acts) + 1, units, hs.shape[2]))  # cs[t]: entering step t
+    tanh_cs = np.empty_like(cs[1:])
+    for t in range(len(acts)):
+        z = acts[t]
+        z += w_h.T @ hs[:, t]
+        _sigmoid_(z[: 2 * units])
+        i, f, g, o = np.split(z, 4)
+        np.tanh(g, out=g)
+        _sigmoid_(o)
+        np.multiply(f, cs[t], out=cs[t + 1])
+        cs[t + 1] += i * g
+        np.tanh(cs[t + 1], out=tanh_cs[t])
+        np.multiply(o, tanh_cs[t], out=hs[:, t + 1])
+    return cs, tanh_cs
+
+
+def _lstm_backward(dh, acts, hs, w_h, saved, dz):
+    cs, tanh_cs = saved
+    dc = 0.0
+    for t in reversed(range(len(acts))):
+        i, f, g, o = np.split(acts[t], 4)
+        di, df, dg, do = np.split(dz[:, t], 4)
+        tc = tanh_cs[t]
+        dc = dc + dh * o * (1.0 - tc * tc)
+        np.multiply(dc * g, i * (1.0 - i), out=di)
+        np.multiply(dc * cs[t], f * (1.0 - f), out=df)
+        np.multiply(dc * i, 1.0 - g * g, out=dg)
+        np.multiply(dh * tc, o * (1.0 - o), out=do)
+        dc = dc * f
+        dh = w_h @ dz[:, t]
+    return _flat(hs[:, :-1]) @ _flat(dz).T
+
+
+def _gru_forward(acts, hs, w_h):
+    units = len(hs)
+    w_ru, w_n = w_h[:, : 2 * units], w_h[:, 2 * units :]
+    rhs = np.empty_like(hs[:, 1:])  # r * h per step: the input of the w_n GEMM
+    for t in range(len(acts)):
+        h = hs[:, t]
+        ru, n = acts[t, : 2 * units], acts[t, 2 * units :]
+        ru += w_ru.T @ h
+        _sigmoid_(ru)
+        r, u = np.split(ru, 2)
+        np.multiply(r, h, out=rhs[:, t])
+        n += w_n.T @ rhs[:, t]
+        np.tanh(n, out=n)
+        hs[:, t + 1] = (1.0 - u) * h + u * n
+    return rhs
+
+
+def _gru_backward(dh, acts, hs, w_h, rhs, dz):
+    units = len(hs)
+    w_ru, w_n = w_h[:, : 2 * units], w_h[:, 2 * units :]
+    for t in reversed(range(len(acts))):
+        h = hs[:, t]
+        r, u, n = np.split(acts[t], 3)
+        dr, du, dn = np.split(dz[:, t], 3)
+        np.multiply(dh * u, 1.0 - n * n, out=dn)
+        np.multiply(dh * (n - h), u * (1.0 - u), out=du)
+        d_rh = w_n @ dn
+        np.multiply(d_rh * h, r * (1.0 - r), out=dr)
+        dh = dh * (1.0 - u) + d_rh * r + w_ru @ dz[: 2 * units, t]
+    g_w_h = np.empty_like(w_h)
+    g_w_h[:, : 2 * units] = _flat(hs[:, :-1]) @ _flat(dz[: 2 * units]).T
+    g_w_h[:, 2 * units :] = _flat(rhs) @ _flat(dz[2 * units :]).T
+    return g_w_h
+
+
+_CELLS = {
+    "rnn": (_rnn_forward, _rnn_backward),
+    "lstm": (_lstm_forward, _lstm_backward),
+    "gru": (_gru_forward, _gru_backward),
+}

@@ -129,13 +129,9 @@ def forward_graph(
         )
     if spec.architecture == "mlp":
         return _mlp(spec, tensors, x)
-    if spec.architecture == "rnn":
-        return _rnn(spec, tensors, x)
-    if spec.architecture == "lstm":
-        return _lstm(spec, tensors, x)
-    if spec.architecture == "gru":
-        return _gru(spec, tensors, x)
-    return _cnn(spec, tensors, x)
+    if spec.architecture == "cnn":
+        return _cnn(spec, tensors, x)
+    return _recurrent(spec, tensors, x)
 
 
 def _dense_head(tensors: Mapping[str, Tensor], h: Tensor) -> Tensor:
@@ -151,57 +147,9 @@ def _mlp(spec, tensors, x):
     return eg.add(eg.matmul(h, tensors["out.w"]), tensors["out.b"])
 
 
-def _rnn(spec, tensors, x):
-    batch = x.shape[0]
-    w_x, w_h, b = tensors["cell.w_x"], tensors["cell.w_h"], tensors["cell.b"]
-    h = Tensor(np.zeros((batch, spec.recurrent_units)))
-    for t in range(spec.window_size):
-        step = Tensor(x[:, t, :])
-        h = eg.tanh(eg.add(eg.add(eg.matmul(step, w_x), eg.matmul(h, w_h)), b))
-    return _dense_head(tensors, h)
-
-
-def _lstm(spec, tensors, x):
-    batch, units = x.shape[0], spec.recurrent_units
-    w_x, w_h, b = tensors["cell.w_x"], tensors["cell.w_h"], tensors["cell.b"]
-    h = Tensor(np.zeros((batch, units)))
-    c = Tensor(np.zeros((batch, units)))
-    for t in range(spec.window_size):
-        step = Tensor(x[:, t, :])
-        z = eg.add(eg.add(eg.matmul(step, w_x), eg.matmul(h, w_h)), b)
-        # Gate order along the combined axis: input, forget, cell, output.
-        i = eg.sigmoid(eg.narrow(z, 1, 0, units))
-        f = eg.sigmoid(eg.narrow(z, 1, units, units))
-        g = eg.tanh(eg.narrow(z, 1, 2 * units, units))
-        o = eg.sigmoid(eg.narrow(z, 1, 3 * units, units))
-        c = eg.add(eg.mul(f, c), eg.mul(i, g))
-        h = eg.mul(o, eg.tanh(c))
-    return _dense_head(tensors, h)
-
-
-def _gru(spec, tensors, x):
-    batch, units = x.shape[0], spec.recurrent_units
-    w_x, w_h, b = tensors["cell.w_x"], tensors["cell.w_h"], tensors["cell.b"]
-    # Gate order along the combined axis: reset, update, candidate.
-    w_x_ru = eg.narrow(w_x, 1, 0, 2 * units)
-    w_x_n = eg.narrow(w_x, 1, 2 * units, units)
-    w_h_ru = eg.narrow(w_h, 1, 0, 2 * units)
-    w_h_n = eg.narrow(w_h, 1, 2 * units, units)
-    b_ru = eg.narrow(b, 0, 0, 2 * units)
-    b_n = eg.narrow(b, 0, 2 * units, units)
-    h = Tensor(np.zeros((batch, units)))
-    one = Tensor(np.float64(1.0))
-    for t in range(spec.window_size):
-        step = Tensor(x[:, t, :])
-        ru = eg.sigmoid(
-            eg.add(eg.add(eg.matmul(step, w_x_ru), eg.matmul(h, w_h_ru)), b_ru)
-        )
-        r = eg.narrow(ru, 1, 0, units)
-        u = eg.narrow(ru, 1, units, units)
-        n = eg.tanh(
-            eg.add(eg.add(eg.matmul(step, w_x_n), eg.matmul(eg.mul(r, h), w_h_n)), b_n)
-        )
-        h = eg.add(eg.mul(eg.sub(one, u), h), eg.mul(u, n))
+def _recurrent(spec, tensors, x):
+    h = eg.recurrent(spec.architecture, x, tensors["cell.w_x"], tensors["cell.w_h"],
+                     tensors["cell.b"])
     return _dense_head(tensors, h)
 
 

@@ -198,12 +198,28 @@ def test_report_rejects_unfinished_dir(tmp_path, capsys):
     plot = tmp_path / "p.csv"
     assert main(["report", "--runs", str(tmp_path), "--out", str(plot)]) == 2
     assert "summary.json" in capsys.readouterr().err
-    # a summary that is not JSON, or lacks name or cells, is named too
+    # a summary that is not JSON, lacks name or cells, has a cell without
+    # runs or a run without a seed, is named too
     summary = tmp_path / "summary.json"
-    for text in ("{not json", json.dumps({"cells": []}), json.dumps({"name": "x"})):
+    no_seed = {"avg_nrmse": 0.5, "avg_mae": 0.1, "avg_rmse": 0.2}
+    for text in (
+        "{not json",
+        json.dumps({"cells": []}),
+        json.dumps({"name": "x"}),
+        json.dumps({"name": "x", "cells": [{"cell": "base"}]}),
+        json.dumps({"name": "x", "cells": [{"cell": "base", "runs": [no_seed]}]}),
+    ):
         summary.write_text(text)
         assert main(["report", "--runs", str(tmp_path), "--out", str(plot)]) == 2
         assert str(summary) in capsys.readouterr().err
+    # so is a curve CSV whose round column is not an integer
+    summary.write_text(json.dumps({"name": "x", "cells": [{"cell": "base", "runs": [
+        {"seed": 0, **no_seed}]}]}))
+    rounds = tmp_path / "base" / "seed-0" / "rounds.csv"
+    rounds.parent.mkdir(parents=True)
+    rounds.write_text("round,client,agg_val_mse\nx,bs000,1.0\n")
+    assert main(["report", "--runs", str(tmp_path), "--out", str(plot)]) == 2
+    assert str(rounds) in capsys.readouterr().err
     assert not plot.exists()
 
 

@@ -167,3 +167,88 @@ def test_backward_requires_scalar_like_start():
     out.backward()
     # mean of squares: d/dx = 2x / n
     assert np.allclose(a.grad, 2.0 * a.data / 4.0)
+
+
+# ------------------------------------------------ fused recurrent layer ops
+
+def tape_recurrent(cell, x, w_x, w_h, b):
+    """The per-timestep gate graph the models built before the fused op."""
+    eg = engine
+    batch, steps, n_in = x.data.shape
+    units = w_h.data.shape[0]
+
+    def block(a, k, n=1):  # gate columns [k*units, (k+n)*units)
+        return eg.narrow(a, a.data.ndim - 1, k * units, n * units)
+
+    h = Tensor(np.zeros((batch, units)))
+    c = Tensor(np.zeros((batch, units)))
+    one = Tensor(np.float64(1.0))
+    for t in range(steps):
+        step = eg.reshape(eg.narrow(x, 1, t, 1), (batch, n_in))
+        if cell == "gru":
+            x_ru, h_ru = eg.matmul(step, block(w_x, 0, 2)), eg.matmul(h, block(w_h, 0, 2))
+            ru = eg.sigmoid(eg.add(eg.add(x_ru, h_ru), block(b, 0, 2)))
+            r, u = block(ru, 0), block(ru, 1)
+            x_n, h_n = eg.matmul(step, block(w_x, 2)), eg.matmul(eg.mul(r, h), block(w_h, 2))
+            n = eg.tanh(eg.add(eg.add(x_n, h_n), block(b, 2)))
+            h = eg.add(eg.mul(eg.sub(one, u), h), eg.mul(u, n))
+            continue
+        z = eg.add(eg.add(eg.matmul(step, w_x), eg.matmul(h, w_h)), b)
+        if cell == "rnn":
+            h = eg.tanh(z)
+        else:
+            i, f = eg.sigmoid(block(z, 0)), eg.sigmoid(block(z, 1))
+            g, o = eg.tanh(block(z, 2)), eg.sigmoid(block(z, 3))
+            c = eg.add(eg.mul(f, c), eg.mul(i, g))
+            h = eg.mul(o, eg.tanh(c))
+    return h
+
+
+GATES = {"rnn": 1, "lstm": 4, "gru": 3}
+
+
+def recurrent_arrays(cell, batch, steps, n_in, units, seed):
+    r = rng(seed)
+    width = GATES[cell] * units
+    return [
+        r.uniform(-1, 1, (batch, steps, n_in)),
+        r.uniform(-1, 1, (n_in, width)) / np.sqrt(n_in),
+        r.uniform(-1, 1, (units, width)) / np.sqrt(units),
+        r.uniform(-0.5, 0.5, width),
+    ]
+
+
+def assert_rel_close(got, want, rel=1e-12):
+    assert got.shape == want.shape
+    scale = np.max(np.abs(want))
+    np.testing.assert_allclose(got, want, rtol=rel, atol=rel * scale)
+
+
+@pytest.mark.parametrize("cell", ["rnn", "lstm", "gru"])
+@pytest.mark.parametrize(
+    "batch,steps,n_in,units",
+    [(1, 4, 3, 5), (6, 1, 3, 5), (2, 3, 1, 1), (128, 10, 11, 128)],
+)
+def test_recurrent_matches_per_timestep_tape(cell, batch, steps, n_in, units):
+    arrays = recurrent_arrays(cell, batch, steps, n_in, units, seed=11)
+    head = rng(12).standard_normal((batch, units))
+
+    def run(op):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        h = op(cell, *leaves)
+        engine.mean_all(engine.mul(engine.tanh(h), Tensor(head))).backward()
+        return h.data, [t.grad for t in leaves]
+
+    h, grads = run(engine.recurrent)
+    h_ref, grads_ref = run(tape_recurrent)
+    assert_rel_close(h, h_ref)
+    for g, g_ref in zip(grads, grads_ref):
+        assert_rel_close(g, g_ref)
+
+
+@pytest.mark.parametrize("cell", ["rnn", "lstm", "gru"])
+def test_recurrent_grads(cell):
+    arrays = recurrent_arrays(cell, batch=2, steps=3, n_in=3, units=2, seed=13)
+    check_grads(
+        lambda *t: engine.mean_all(engine.square(engine.recurrent(cell, *t))), arrays
+    )
