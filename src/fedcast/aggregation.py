@@ -25,7 +25,7 @@ order, so aggregation is invariant to update ordering, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,13 +43,6 @@ STRATEGIES: tuple[str, ...] = (
     "simpleavg",
     "medianavg",
 )
-
-# Reference first/second-moment constants for the adaptive strategies.
-ADAPTIVE_BETAS: dict[str, tuple[float, float]] = {
-    "fedadagrad": (0.0, 0.99),
-    "fedyogi": (0.9, 0.99),
-    "fedadam": (0.9, 0.99),
-}
 
 # Hyper-parameter search grids from the reference evaluation.
 TUNING_GRIDS: dict[str, dict[str, list[float]]] = {
@@ -77,8 +70,16 @@ class AggregatorConfig:
     """Strategy name plus its hyper-parameters.
 
     server_lr is eta; mu is the FedProx client proximal weight; beta the
-    FedAvgM momentum; rho the FedNova momentum; beta1/beta2/adaptivity the
-    adaptive-strategy moments and lambda.
+    FedAvgM momentum; rho the FedNova momentum; beta1/beta2 the adaptive
+    first/second-moment decays and adaptivity their lambda. Each strategy
+    reads only its own fields and ignores the rest:
+
+      fedavg, fedprox   server_lr (fedprox clients also read mu)
+      fedavgm           beta
+      fednova           server_lr, rho
+      fedadagrad        server_lr, adaptivity (no moment decays)
+      fedyogi, fedadam  server_lr, beta1, beta2, adaptivity
+      simpleavg, medianavg  nothing
     """
 
     strategy: str
@@ -105,15 +106,6 @@ class AggregatorConfig:
                 raise AggregationError(f"{name} must be in [0, 1), got {v}")
         if self.adaptivity <= 0:
             raise AggregationError("adaptivity must be positive")
-
-    @staticmethod
-    def for_strategy(strategy: str, **overrides) -> "AggregatorConfig":
-        """Config with the reference beta1/beta2 for adaptive strategies."""
-        base = AggregatorConfig(strategy=strategy)
-        if strategy in ADAPTIVE_BETAS:
-            b1, b2 = ADAPTIVE_BETAS[strategy]
-            base = replace(base, beta1=b1, beta2=b2)
-        return replace(base, **overrides) if overrides else base
 
 
 @dataclass(frozen=True)
@@ -146,7 +138,6 @@ class ServerState:
 
     momentum: np.ndarray
     second_moment: np.ndarray
-    round: int = 0
 
     @staticmethod
     def zeros(size: int) -> "ServerState":
@@ -247,6 +238,5 @@ def aggregate(
     else:  # pragma: no cover - guarded by AggregatorConfig validation
         raise AggregationError(f"unknown strategy {strategy!r}")
 
-    new_params = global_params.replace_values(new_w)
-    new_state = ServerState(new_momentum, new_second, state.round + 1)
-    return new_params, new_state
+    return (ParameterVector(new_w, global_params.layout),
+            ServerState(new_momentum, new_second))

@@ -104,26 +104,18 @@ class SplitDataset:
 
 @dataclass(frozen=True)
 class FloodCapParams:
-    """Per-feature clamp bounds fitted on a training split.
-
-    lower/upper are (d,) arrays of the fitted percentile cut points;
-    fitted_on records which client/segment produced them.
-    """
+    """Per-feature (d,) clamp bounds: percentile cut points of a training split."""
 
     lower: np.ndarray
     upper: np.ndarray
-    lower_percentile: float
-    upper_percentile: float
-    fitted_on: str
 
 
 @dataclass(frozen=True)
 class ScalerParams:
-    """Per-feature min-max bounds. scope is "local" or "global"."""
+    """Per-feature min-max bounds."""
 
     minimum: np.ndarray
     maximum: np.ndarray
-    scope: str = "local"
 
 
 @dataclass(frozen=True)
@@ -193,11 +185,11 @@ def _check_percentiles(lower: float, upper: float) -> None:
         )
 
 
-def load_csv(path: str | Path, features: Sequence[str] = FEATURES) -> TimeSeriesDataset:
+def load_csv(path: str | Path) -> TimeSeriesDataset:
     """Read one client trace.
 
     Expects a header row whose feature columns (everything after the first,
-    timestamp column) equal the schema exactly. Unparsable numeric cells
+    timestamp column) equal FEATURES exactly. Unparsable numeric cells
     become NaN and are handled later by clean_missing. The client id is the
     file stem.
     """
@@ -209,19 +201,19 @@ def load_csv(path: str | Path, features: Sequence[str] = FEATURES) -> TimeSeries
                 header = next(reader)
             except StopIteration:
                 raise SchemaError(f"{path}: empty file, expected a header row")
-            if tuple(header[1:]) != tuple(features):
+            if tuple(header[1:]) != FEATURES:
                 raise SchemaError(
                     f"{path}: feature columns {header[1:]} do not match the "
-                    f"expected schema {list(features)}"
+                    f"expected schema {list(FEATURES)}"
                 )
             stamps: list[datetime] = []
             rows: list[list[float]] = []
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
-                if len(row) != len(features) + 1:
+                if len(row) != N_FEATURES + 1:
                     raise SchemaError(
-                        f"{path}:{lineno}: expected {len(features) + 1} columns, "
+                        f"{path}:{lineno}: expected {N_FEATURES + 1} columns, "
                         f"got {len(row)}"
                     )
                 try:
@@ -236,15 +228,10 @@ def load_csv(path: str | Path, features: Sequence[str] = FEATURES) -> TimeSeries
     values = (
         np.array(rows, dtype=np.float64)
         if rows
-        else np.empty((0, len(features)), dtype=np.float64)
+        else np.empty((0, N_FEATURES), dtype=np.float64)
     )
     timestamps = np.array(stamps, dtype="datetime64[s]")
-    return TimeSeriesDataset(
-        client_id=path.stem,
-        timestamps=timestamps,
-        values=values,
-        features=tuple(features),
-    )
+    return TimeSeriesDataset(client_id=path.stem, timestamps=timestamps, values=values)
 
 
 def _parse_cell(cell: str) -> float:
@@ -316,13 +303,7 @@ def fit_flood_cap(
     cuts = np.percentile(
         train.values, [lower_percentile, upper_percentile], axis=0
     )
-    return FloodCapParams(
-        lower=cuts[0],
-        upper=cuts[1],
-        lower_percentile=lower_percentile,
-        upper_percentile=upper_percentile,
-        fitted_on=f"{train.client_id}:train",
-    )
+    return FloodCapParams(lower=cuts[0], upper=cuts[1])
 
 
 def apply_flood_cap(
@@ -342,11 +323,8 @@ def fit_scaler(train: TimeSeriesDataset) -> ScalerParams:
     """Per-feature min/max from a training split (local scope)."""
     if len(train) == 0:
         raise TooShortError(f"{train.client_id}: cannot fit a scaler on 0 rows")
-    return ScalerParams(
-        minimum=train.values.min(axis=0),
-        maximum=train.values.max(axis=0),
-        scope="local",
-    )
+    return ScalerParams(minimum=train.values.min(axis=0),
+                        maximum=train.values.max(axis=0))
 
 
 def negotiate_global_scaler(scalers: Sequence[ScalerParams]) -> ScalerParams:
@@ -365,7 +343,7 @@ def negotiate_global_scaler(scalers: Sequence[ScalerParams]) -> ScalerParams:
             raise DataError("scaler has min > max for some feature")
     minimum = np.min([sc.minimum for sc in scalers], axis=0)
     maximum = np.max([sc.maximum for sc in scalers], axis=0)
-    return ScalerParams(minimum=minimum, maximum=maximum, scope="global")
+    return ScalerParams(minimum=minimum, maximum=maximum)
 
 
 def scale(dataset: TimeSeriesDataset, scaler: ScalerParams) -> TimeSeriesDataset:
@@ -401,11 +379,8 @@ def inverse_scale_array(values: np.ndarray, scaler: ScalerParams) -> np.ndarray:
 
 def target_scaler(scaler: ScalerParams) -> ScalerParams:
     """Restrict fitted bounds to the five target features."""
-    return ScalerParams(
-        minimum=scaler.minimum[:N_TARGETS],
-        maximum=scaler.maximum[:N_TARGETS],
-        scope=scaler.scope,
-    )
+    return ScalerParams(minimum=scaler.minimum[:N_TARGETS],
+                        maximum=scaler.maximum[:N_TARGETS])
 
 
 def make_windows(dataset: TimeSeriesDataset, window_size: int) -> WindowedDataset:
@@ -460,6 +435,12 @@ def preprocess_clients(
     ids = [ds.client_id for ds in datasets]
     if len(set(ids)) != len(ids):
         raise DataError(f"duplicate client ids: {ids}")
+    unknown = sorted(set(config.per_client_percentiles) - set(ids))
+    if unknown:
+        raise DataError(
+            f"preprocessing.per_client_percentiles names clients not in the "
+            f"cohort: {unknown}"
+        )
 
     splits: list[SplitDataset] = []
     local_scalers: list[ScalerParams] = []

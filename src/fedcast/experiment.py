@@ -33,6 +33,8 @@ import yaml
 from fedcast import __version__
 from fedcast.aggregation import AggregatorConfig
 from fedcast.dataio import (
+    N_FEATURES,
+    N_TARGETS,
     ClientWindows,
     DataError,
     PreprocessConfig,
@@ -121,6 +123,16 @@ class ExperimentConfig:
                 raise ValueError(
                     "federated setting requires federation and aggregator sections"
                 )
+        # CSV and synthetic data always have the fixed 11-feature, 5-target
+        # schema, windowed at preprocessing.window_size.
+        data_shape = (self.preprocessing.window_size, N_FEATURES, N_TARGETS)
+        model_shape = (self.model.window_size, self.model.n_features,
+                       self.model.n_targets)
+        if model_shape != data_shape:
+            raise ValueError(
+                f"model (window_size, n_features, n_targets) {model_shape} does "
+                f"not match the data's {data_shape}"
+            )
         if self.grid is not None:
             if not self.grid or not all(self.grid.values()):
                 raise ValueError("grid must map parameters to non-empty value lists")
@@ -128,18 +140,18 @@ class ExperimentConfig:
             for key in self.grid:
                 if key not in agg_fields or key == "strategy":
                     raise ValueError(f"grid key {key!r} is not a tunable parameter")
+                labels = [f"{v:g}" for v in self.grid[key]]
+                if len(set(labels)) < len(labels):
+                    raise ValueError(
+                        f"grid values of {key!r} {list(self.grid[key])} share a "
+                        f"cell label: {labels}"
+                    )
             if self.setting != "federated":
                 raise ValueError("grid search applies to the federated setting only")
         if self.fine_tune and self.setting == "individual":
             raise ValueError("fine_tune applies to shared-model settings only")
         if self.fine_tune_epochs < 0:
             raise ValueError("fine_tune_epochs must be >= 0")
-
-
-# Dataclasses built through a constructor other than their own: the
-# adaptive strategies take their reference beta1/beta2 unless the config
-# sets them.
-_CONSTRUCTORS: dict[type, Callable] = {AggregatorConfig: AggregatorConfig.for_strategy}
 
 
 def _decode(annotation, value, path: str):
@@ -206,7 +218,7 @@ def _decode_dataclass(cls, value, path: str):
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{path}.{f.name}: required")
     try:
-        return _CONSTRUCTORS.get(cls, cls)(**kwargs)
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         field = str(exc).split(" ", 1)[0]
         where = f"{path}.{field}" if field in hints else path
@@ -323,6 +335,7 @@ def _write_rounds_csv(path: Path, history: FederationHistory) -> None:
         for record in history.rounds:
             for cid in history.client_ids:
                 st = record.client_stats[cid]
+                nbytes = history.payload_bytes if cid in record.sampled else 0
                 writer.writerow([
                     record.round,
                     cid,
@@ -332,8 +345,8 @@ def _write_rounds_csv(path: Path, history: FederationHistory) -> None:
                     _fmt(st.val_mae),
                     st.local_steps,
                     st.n_samples,
-                    st.uplink_bytes,
-                    st.downlink_bytes,
+                    nbytes,
+                    nbytes,
                     _fmt(record.agg_val_mse),
                     _fmt(record.agg_val_mae),
                 ])

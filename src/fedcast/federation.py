@@ -60,8 +60,8 @@ class FederationConfig:
 class ClientRoundStats:
     """Per-client bookkeeping for one round.
 
-    Unsampled clients carry train_loss None, zero steps, zero bytes; their
-    val scores are still measured against the post-aggregation global.
+    Unsampled clients carry train_loss None and zero steps; their val
+    scores are still measured against the post-aggregation global.
     """
 
     train_loss: Optional[float]
@@ -69,8 +69,6 @@ class ClientRoundStats:
     val_mae: Optional[float]
     local_steps: int
     n_samples: int
-    uplink_bytes: int
-    downlink_bytes: int
 
 
 @dataclass(frozen=True)
@@ -80,8 +78,6 @@ class RoundRecord:
     client_stats: dict[str, ClientRoundStats]
     agg_val_mse: float
     agg_val_mae: float
-    uplink_bytes: int
-    downlink_bytes: int
 
 
 @dataclass(frozen=True)
@@ -101,6 +97,11 @@ def client_stream_seed(seed: int, client_id: str) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
+def clients_per_round(n_clients: int, fraction: float) -> int:
+    """max(1, floor(f * N)): how many clients one round samples."""
+    return max(1, int(np.floor(fraction * n_clients)))
+
+
 def sample_clients(
     client_ids: Sequence[str], fraction: float, round_index: int, seed: int
 ) -> list[str]:
@@ -114,7 +115,7 @@ def sample_clients(
     if not (0.0 < fraction <= 1.0):
         raise FederationError("fraction must be in (0, 1]")
     n = len(client_ids)
-    count = max(1, int(np.floor(fraction * n)))
+    count = clients_per_round(n, fraction)
     if count >= n:
         return list(client_ids)
     rng = np.random.Generator(
@@ -137,7 +138,6 @@ def run_federated(
     clients: Sequence[ClientWindows],
     federation: FederationConfig,
     aggregator: AggregatorConfig,
-    initial: Optional[ParameterVector] = None,
 ) -> FederationHistory:
     """Run the full federated session and return its history.
 
@@ -158,8 +158,7 @@ def run_federated(
         if all(c.validation.count == 0 for c in clients):
             raise FederationError("no client has validation windows")
 
-    global_pv = initial if initial is not None else init_model(spec, federation.seed)
-    payload = payload_nbytes(global_pv.layout)
+    global_pv = init_model(spec, federation.seed)
     server_state = ServerState.zeros(global_pv.size)
     stream_seeds = {cid: client_stream_seed(federation.seed, cid) for cid in ids}
     trainers: dict[str, tuple[AdamState, int]] = {
@@ -174,7 +173,6 @@ def run_federated(
 
     for r in range(federation.rounds):
         sampled = sample_clients(ids, federation.sampling_fraction, r, federation.seed)
-        sampled_set = set(sampled)
         updates: list[ClientUpdate] = []
         train_stats: dict[str, tuple[float, int]] = {}
         for cid in sampled:
@@ -219,7 +217,6 @@ def run_federated(
                 val_total += cw.validation.count
             else:
                 v_mse, v_mae = None, None
-            in_round = cid in sampled_set
             loss, steps = train_stats.get(cid, (None, 0))
             stats[cid] = ClientRoundStats(
                 train_loss=loss,
@@ -227,8 +224,6 @@ def run_federated(
                 val_mae=v_mae,
                 local_steps=steps,
                 n_samples=cw.train.count,
-                uplink_bytes=payload if in_round else 0,
-                downlink_bytes=payload if in_round else 0,
             )
         agg_mse = weighted_mse / val_total
         agg_mae = weighted_mae / val_total
@@ -239,8 +234,6 @@ def run_federated(
                 client_stats=stats,
                 agg_val_mse=agg_mse,
                 agg_val_mae=agg_mae,
-                uplink_bytes=payload * len(sampled),
-                downlink_bytes=payload * len(sampled),
             )
         )
         if agg_mse < best_mse:
@@ -253,7 +246,7 @@ def run_federated(
         best_round=best_round,
         best_global=best_global,
         final_global=global_pv,
-        payload_bytes=payload,
+        payload_bytes=payload_nbytes(global_pv.layout),
         client_ids=ids,
     )
 
@@ -264,7 +257,6 @@ def run_centralized(
     max_epochs: int,
     patience: int,
     seed: int = 0,
-    initial: Optional[ParameterVector] = None,
 ) -> TrainReport:
     """Pool every client's train/validation windows and train one model.
 
@@ -275,11 +267,10 @@ def run_centralized(
     _check_cohort(clients)
     train = concat_windows([c.train for c in clients])
     validation = concat_windows([c.validation for c in clients])
-    params = initial if initial is not None else init_model(spec, seed)
     cohort_id = "+".join(sorted(c.client_id for c in clients))
     return train_with_early_stopping(
         spec,
-        params,
+        init_model(spec, seed),
         train,
         validation,
         max_epochs,
@@ -382,5 +373,4 @@ def estimate_total_transfer_bytes(
         raise FederationError("rounds must be >= 0")
     if not (0.0 < fraction <= 1.0):
         raise FederationError("fraction must be in (0, 1]")
-    per_round = max(1, int(np.floor(fraction * n_clients)))
-    return 2 * payload_bytes * per_round * rounds
+    return 2 * payload_bytes * clients_per_round(n_clients, fraction) * rounds

@@ -109,12 +109,11 @@ def evaluate_forecasts(
         p, t = pred_units[:, j], truth_units[:, j]
         maes.append(mae(p, t))
         rmses.append(rmse(p, t))
-        mean_t = float(np.mean(t))
-        if mean_t == 0.0:
+        try:
+            nrmses.append(nrmse(p, t))
+        except ValueError:  # zero-mean truth
             nrmses.append(float("nan"))
-        else:
-            nrmses.append(rmses[-1] / mean_t)
-    if any(np.isnan(nrmses[j]) for j in range(2)):
+    if np.isnan(nrmses[:2]).any():
         raise ValueError("NRMSE is undefined: a traffic target has zero-mean truth")
     return MetricReport(
         per_target_mae=tuple(maes),

@@ -88,9 +88,6 @@ class ParameterVector:
     def copy(self) -> "ParameterVector":
         return ParameterVector(self.values.copy(), self.layout)
 
-    def replace_values(self, values: np.ndarray) -> "ParameterVector":
-        return ParameterVector(np.asarray(values, dtype=np.float64), self.layout)
-
     @property
     def size(self) -> int:
         return len(self.values)

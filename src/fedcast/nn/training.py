@@ -12,7 +12,7 @@ counts follow tau = epochs * ceil(n / batch_size).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -24,6 +24,12 @@ from fedcast.nn.engine import Tensor
 from fedcast.nn.params import Layout, ParameterVector
 
 
+# Adam's moment decays and denominator epsilon (Kingma & Ba defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class AdamState:
     """First/second moments plus the bias-correction step counter."""
@@ -31,9 +37,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @staticmethod
     def zeros(size: int) -> "AdamState":
@@ -50,12 +53,12 @@ def adam_step(
             f"gradient shape {grad.shape} does not match parameters {values.shape}"
         )
     t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * (grad * grad)
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    new_values = values - lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return new_values, AdamState(m, v, t, state.beta1, state.beta2, state.eps)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * (grad * grad)
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    new_values = values - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return new_values, AdamState(m, v, t)
 
 
 def loss_and_grad(
@@ -84,12 +87,11 @@ def evaluate(
     spec: ModelSpec,
     params: ParameterVector,
     windows: WindowedDataset,
-    chunk_size: int = 512,
 ) -> tuple[float, float]:
     """(MSE, MAE) over all target elements, in the windows' own units."""
     if windows.count == 0:
         raise ValueError("cannot evaluate on zero windows")
-    pred = predict(spec, params, windows.inputs, chunk_size)
+    pred = predict(spec, params, windows.inputs, chunk_size=512)
     err = pred - windows.targets
     return float(np.mean(err * err)), float(np.mean(np.abs(err)))
 

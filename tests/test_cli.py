@@ -127,10 +127,21 @@ def test_run_rejects_invalid_config(tmp_path, capsys):
             "model": {"architecture": "mlp", "hidden_sizes": [1.5]}
         }),
         ("config.output_dir", {"output_dir": 5}),
+        # a model shape the data cannot feed, grid cells that would share a
+        # directory, and a percentile override for a client not in the cohort
+        ("config.model", {"preprocessing": {"window_size": 5}}),
+        ("config.model", {"model": {"architecture": "mlp", "window_size": 6,
+                                    "n_targets": 3}}),
+        ("config.grid", {"grid": {"mu": [0.1, 0.1000001]}}),
+        ("per_client_percentiles names clients not in the cohort: ['bs999']", {
+            "preprocessing": {"window_size": 6,
+                              "per_client_percentiles": {"bs999": [5.0, 95.0]}}
+        }),
     ]:
         bad = write_config(tmp_path, **override)
         assert main(["run", "--config", str(bad), "--output-dir", str(out_dir)]) == 2
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
         assert not out_dir.exists()
     # a file that is not YAML, or not a file, is named in the error
     broken = tmp_path / "broken.yaml"

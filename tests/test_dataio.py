@@ -256,10 +256,9 @@ def test_apply_flood_cap_dimension_mismatch():
 
 # --------------------------------------------------------------------- scaling
 
-def test_negotiate_single_client_flips_scope():
+def test_negotiate_single_client_keeps_its_bounds():
     sc = fit_scaler(random_dataset(20, seed=2))
     merged = negotiate_global_scaler([sc])
-    assert merged.scope == "global"
     assert np.array_equal(merged.minimum, sc.minimum)
     assert np.array_equal(merged.maximum, sc.maximum)
 
@@ -330,10 +329,10 @@ def test_scale_dimension_mismatch():
 
 
 def test_target_scaler_keeps_first_five():
-    sc = ScalerParams(np.arange(11.0), np.arange(11.0) + 1.0, scope="global")
+    sc = ScalerParams(np.arange(11.0), np.arange(11.0) + 1.0)
     t = target_scaler(sc)
     assert np.array_equal(t.minimum, np.arange(5.0))
-    assert t.scope == "global"
+    assert np.array_equal(t.maximum, np.arange(5.0) + 1.0)
 
 
 # ------------------------------------------------------------------- windowing
@@ -429,9 +428,7 @@ def test_pipeline_global_scaler_shared_and_local_not():
     out_g = preprocess_clients(cohort(), config_g)
     out_l = preprocess_clients(cohort(), config_l)
     assert np.array_equal(out_g[0].scaler.minimum, out_g[1].scaler.minimum)
-    assert out_g[0].scaler.scope == "global"
     assert not np.array_equal(out_l[0].scaler.minimum, out_l[1].scaler.minimum)
-    assert out_l[0].scaler.scope == "local"
 
 
 def test_pipeline_per_client_percentile_override():

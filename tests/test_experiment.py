@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 from pathlib import Path
@@ -53,7 +54,7 @@ def tiny_config(tmp_path, setting="federated", **kw):
     )
     if setting == "federated":
         base["federation"] = FederationConfig(rounds=2, local_epochs=1)
-        base["aggregator"] = AggregatorConfig.for_strategy("fedavg")
+        base["aggregator"] = AggregatorConfig("fedavg")
     base.update(kw)
     return ExperimentConfig(**base)
 
@@ -122,6 +123,10 @@ def test_config_validation_rules(tmp_path):
         tiny_config(tmp_path, grid={"strategy": ("fedavg",)})
     with pytest.raises(ValueError, match="fine_tune"):
         tiny_config(tmp_path, setting="individual", fine_tune=True)
+    with pytest.raises(ValueError, match="model .* does not match"):
+        tiny_config(tmp_path, preprocessing=PreprocessConfig(window_size=5))
+    with pytest.raises(ValueError, match="share a cell label"):
+        tiny_config(tmp_path, grid={"mu": (0.1, 0.1)})
     with pytest.raises(ValueError):
         DataConfig(paths=("a.csv",), synthetic=tiny_cohort())
     with pytest.raises(ValueError):
@@ -148,6 +153,7 @@ def test_config_from_dict_input_errors(tmp_path):
 def test_config_without_preprocessing_uses_defaults(tmp_path):
     raw = config_to_dict(tiny_config(tmp_path))
     del raw["preprocessing"]
+    del raw["model"]["window_size"]  # both sections fall back to window 10
     assert config_from_dict(raw).preprocessing == PreprocessConfig()
 
 
@@ -216,7 +222,7 @@ def test_mutated_config_parses_or_raises_config_error(data):
         preprocessing=PreprocessConfig(
             window_size=6, per_client_percentiles={"bs000": (5.0, 95.0)}
         ),
-        aggregator=AggregatorConfig.for_strategy("fedadam"),
+        aggregator=AggregatorConfig("fedadam"),
         grid={"server_lr": (0.1, 1.0)},
         fine_tune=True,
     )
@@ -334,6 +340,28 @@ def test_federated_experiment_artifacts(tmp_path):
         # full participation: both directions, all clients, every round
         payload = params.size * 8
         assert metrics["server_total_mb"] == 2 * payload * 2 * 2 / 1e6
+
+
+def test_rounds_csv_bytes_follow_sampling(tmp_path):
+    # one of two clients per round: a sampled row moved one payload each
+    # way, an unsampled row nothing, and the columns add up to the ledger
+    config = tiny_config(
+        tmp_path, federation=FederationConfig(rounds=3, local_epochs=1,
+                                              sampling_fraction=0.5),
+    )
+    run_experiment(config)
+    run_dir = Path(config.output_dir) / "base" / "seed-0"
+    payload = 8 * layout_for(config.model).size
+    with open(run_dir / "rounds.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3 * 2
+    assert sum(int(r["sampled"]) for r in rows) == 3
+    for r in rows:
+        want = payload if r["sampled"] == "1" else 0
+        assert int(r["uplink_bytes"]) == int(r["downlink_bytes"]) == want
+    total = sum(int(r["uplink_bytes"]) + int(r["downlink_bytes"]) for r in rows)
+    metrics = json.loads((run_dir / "metrics.json").read_text())
+    assert metrics["server_total_mb"] == total / 1e6
 
 
 def test_summary_aggregates_across_seeds(tmp_path):

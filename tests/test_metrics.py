@@ -147,7 +147,7 @@ def test_ks_matches_brute_force(a, b):
 
 def unit_scaler(d=11):
     # identity mapping: min 0, max 1 for every feature
-    return ScalerParams(minimum=np.zeros(d), maximum=np.ones(d), scope="global")
+    return ScalerParams(minimum=np.zeros(d), maximum=np.ones(d))
 
 
 def test_evaluate_perfect_forecast():
@@ -185,7 +185,7 @@ def test_evaluate_unscales_before_scoring():
     # feature j spans [0, 10*(j+1)]: scaled 0.5 means 5*(j+1) in units
     mins = np.zeros(11)
     maxs = np.array([10.0 * (j + 1) for j in range(11)])
-    scaler = ScalerParams(minimum=mins, maximum=maxs, scope="global")
+    scaler = ScalerParams(minimum=mins, maximum=maxs)
     truth = np.full((3, 5), 0.5)
     pred = np.full((3, 5), 0.6)
     report = evaluate_forecasts(pred, truth, scaler)
