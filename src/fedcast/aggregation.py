@@ -32,17 +32,20 @@ import numpy as np
 
 from fedcast.nn.params import ParameterVector
 
-STRATEGIES: tuple[str, ...] = (
-    "fedavg",
-    "fedprox",
-    "fedavgm",
-    "fednova",
-    "fedadagrad",
-    "fedyogi",
-    "fedadam",
-    "simpleavg",
-    "medianavg",
-)
+# The AggregatorConfig fields each strategy reads; it ignores the rest.
+# fedprox's mu is read by its clients, not by aggregate.
+STRATEGY_FIELDS: dict[str, tuple[str, ...]] = {
+    "fedavg": ("server_lr",),
+    "fedprox": ("server_lr", "mu"),
+    "fedavgm": ("beta",),
+    "fednova": ("server_lr", "rho"),
+    "fedadagrad": ("server_lr", "adaptivity"),
+    "fedyogi": ("server_lr", "beta1", "beta2", "adaptivity"),
+    "fedadam": ("server_lr", "beta1", "beta2", "adaptivity"),
+    "simpleavg": (),
+    "medianavg": (),
+}
+STRATEGIES: tuple[str, ...] = tuple(STRATEGY_FIELDS)
 
 # Hyper-parameter search grids from the reference evaluation.
 TUNING_GRIDS: dict[str, dict[str, list[float]]] = {
@@ -72,14 +75,7 @@ class AggregatorConfig:
     server_lr is eta; mu is the FedProx client proximal weight; beta the
     FedAvgM momentum; rho the FedNova momentum; beta1/beta2 the adaptive
     first/second-moment decays and adaptivity their lambda. Each strategy
-    reads only its own fields and ignores the rest:
-
-      fedavg, fedprox   server_lr (fedprox clients also read mu)
-      fedavgm           beta
-      fednova           server_lr, rho
-      fedadagrad        server_lr, adaptivity (no moment decays)
-      fedyogi, fedadam  server_lr, beta1, beta2, adaptivity
-      simpleavg, medianavg  nothing
+    reads only its STRATEGY_FIELDS entry.
     """
 
     strategy: str

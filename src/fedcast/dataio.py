@@ -124,13 +124,9 @@ class WindowedDataset:
 
     inputs: np.ndarray
     targets: np.ndarray
-    window_size: int
 
     @property
     def count(self) -> int:
-        return len(self.inputs)
-
-    def __len__(self) -> int:
         return len(self.inputs)
 
 
@@ -170,6 +166,10 @@ class PreprocessConfig:
         if self.scaling_scope not in ("local", "global"):
             raise ValueError(f"unknown scaling_scope {self.scaling_scope!r}")
         _check_percentiles(self.lower_percentile, self.upper_percentile)
+        if self.per_client_percentiles and not self.use_flood_cap:
+            raise ValueError(
+                "per_client_percentiles has no effect with use_flood_cap false"
+            )
         for cid, (lo, hi) in self.per_client_percentiles.items():
             try:
                 _check_percentiles(lo, hi)
@@ -398,25 +398,23 @@ def make_windows(dataset: TimeSeriesDataset, window_size: int) -> WindowedDatase
         return WindowedDataset(
             inputs=np.empty((0, window_size, d), dtype=np.float64),
             targets=np.empty((0, N_TARGETS), dtype=np.float64),
-            window_size=window_size,
         )
     slid = np.lib.stride_tricks.sliding_window_view(values, window_size, axis=0)
     inputs = slid[:m].transpose(0, 2, 1).copy()
     targets = values[window_size:, :N_TARGETS].copy()
-    return WindowedDataset(inputs=inputs, targets=targets, window_size=window_size)
+    return WindowedDataset(inputs=inputs, targets=targets)
 
 
 def concat_windows(parts: Sequence[WindowedDataset]) -> WindowedDataset:
     """Pool windows from several clients (centralized setting)."""
     if not parts:
         raise DataError("nothing to concatenate")
-    sizes = {p.window_size for p in parts}
+    sizes = {p.inputs.shape[1] for p in parts}
     if len(sizes) != 1:
         raise DataError(f"window sizes differ: {sorted(sizes)}")
     return WindowedDataset(
         inputs=np.concatenate([p.inputs for p in parts], axis=0),
         targets=np.concatenate([p.targets for p in parts], axis=0),
-        window_size=parts[0].window_size,
     )
 
 

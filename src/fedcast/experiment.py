@@ -31,7 +31,7 @@ import numpy as np
 import yaml
 
 from fedcast import __version__
-from fedcast.aggregation import AggregatorConfig
+from fedcast.aggregation import STRATEGY_FIELDS, AggregatorConfig
 from fedcast.dataio import (
     N_FEATURES,
     N_TARGETS,
@@ -136,18 +136,21 @@ class ExperimentConfig:
         if self.grid is not None:
             if not self.grid or not all(self.grid.values()):
                 raise ValueError("grid must map parameters to non-empty value lists")
-            agg_fields = {f.name for f in dataclasses.fields(AggregatorConfig)}
+            if self.setting != "federated":
+                raise ValueError("grid search applies to the federated setting only")
+            strategy = self.aggregator.strategy
             for key in self.grid:
-                if key not in agg_fields or key == "strategy":
-                    raise ValueError(f"grid key {key!r} is not a tunable parameter")
+                if key not in STRATEGY_FIELDS[strategy]:
+                    raise ValueError(
+                        f"grid key {key!r} is not a tunable parameter of strategy "
+                        f"{strategy!r}, which reads {list(STRATEGY_FIELDS[strategy])}"
+                    )
                 labels = [f"{v:g}" for v in self.grid[key]]
                 if len(set(labels)) < len(labels):
                     raise ValueError(
                         f"grid values of {key!r} {list(self.grid[key])} share a "
                         f"cell label: {labels}"
                     )
-            if self.setting != "federated":
-                raise ValueError("grid search applies to the federated setting only")
         if self.fine_tune and self.setting == "individual":
             raise ValueError("fine_tune applies to shared-model settings only")
         if self.fine_tune_epochs < 0:
@@ -378,12 +381,37 @@ def _json_dump(path: Path, payload) -> None:
         fh.write("\n")
 
 
+def _check_windows(config: ExperimentConfig, clients: Sequence[ClientWindows]) -> None:
+    """Raise DataError naming the clients and split a run lacks windows in.
+
+    Every client is scored on its test windows. Training validates on every
+    client in the individual setting and on at least one in the others. The
+    60/20/20 split gives train at least as many rows as test, so a client
+    with test windows has train windows too.
+    """
+    rules = [("test", any)]
+    if config.setting == "individual":
+        rules.append(("validation", any))
+    elif config.setting == "centralized" or config.federation.rounds > 0:
+        rules.append(("validation", all))
+    for split, refuses in rules:
+        empty = [getattr(cw, split).count == 0 for cw in clients]
+        if refuses(empty):
+            ids = ", ".join(cw.client_id for cw, e in zip(clients, empty) if e)
+            raise DataError(
+                f"{ids}: no {split} windows; a window_size of "
+                f"{config.preprocessing.window_size} needs more rows in the "
+                f"{split} split"
+            )
+
+
 def run_experiment(
     config: ExperimentConfig, output_dir: Optional[str] = None
 ) -> ExperimentSummary:
     """Execute every (grid cell, seed) run and write all artifacts."""
     datasets = materialize_data(config)
     clients = preprocess_clients(datasets, config.preprocessing)
+    _check_windows(config, clients)
     spec = config.model
     out_root = Path(output_dir if output_dir is not None else config.output_dir)
     out_root.mkdir(parents=True, exist_ok=True)
@@ -392,7 +420,7 @@ def run_experiment(
     runs: list[RunResult] = []
     for cell_label, assignment in cells:
         aggregator = config.aggregator
-        if aggregator is not None and assignment:
+        if assignment:
             aggregator = dataclasses.replace(aggregator, **assignment)
         for seed in config.seeds:
             run_dir = out_root / cell_label / f"seed-{seed}"
@@ -432,8 +460,7 @@ def _run_once(
     budget = (config.training.max_epochs, config.training.patience, seed)
     best_index = server_total_mb = shared = None
     if config.setting == "federated":
-        federation = dataclasses.replace(config.federation, seed=seed)
-        history = run_federated(spec, clients, federation, aggregator)
+        history = run_federated(spec, clients, config.federation, aggregator, seed)
         _write_rounds_csv(run_dir / "rounds.csv", history)
         shared, best_index = history.best_global, history.best_round
         server_total_mb = megabytes(account_communication(history).server_total_bytes)

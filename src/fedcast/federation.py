@@ -1,13 +1,14 @@
 """Federated orchestration: sampling, rounds, settings, and byte accounting.
 
 One round: sample clients, broadcast the global weights, run E local epochs
-per sampled client (each client keeps its own Adam state and epoch counter
-across rounds, so a one-epoch-per-round run retraces a plain local run
-step for step), aggregate the clients' local weights (the server derives
-each client's delta from the weights it broadcast), then evaluate the new
-global weights on every client's validation windows. The centralized
-setting trains on pooled windows through the same epoch loop, with early
-stopping; the individual setting is a centralized run per single client.
+per sampled client (each client keeps its own Adam state across rounds,
+whose step count fixes the epoch the client resumes at, so a
+one-epoch-per-round run retraces a plain local run step for step),
+aggregate the clients' local weights (the server derives each client's
+delta from the weights it broadcast), then evaluate the new global weights
+on every client's validation windows. The centralized setting trains on
+pooled windows through the same epoch loop, with early stopping; the
+individual setting is a centralized run per single client.
 """
 
 from __future__ import annotations
@@ -45,13 +46,15 @@ class FederationConfig:
     rounds: int
     local_epochs: int
     sampling_fraction: float = 1.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.rounds < 0:
             raise FederationError("rounds must be >= 0")
         if self.local_epochs < 0:
             raise FederationError("local_epochs must be >= 0")
+        if self.rounds > 0 and self.local_epochs < 1:
+            # A round needs at least one optimizer step per sampled client.
+            raise FederationError("local_epochs must be >= 1 when rounds > 0")
         if not (0.0 < self.sampling_fraction <= 1.0):
             raise FederationError("sampling_fraction must be in (0, 1]")
 
@@ -138,33 +141,30 @@ def run_federated(
     clients: Sequence[ClientWindows],
     federation: FederationConfig,
     aggregator: AggregatorConfig,
+    seed: int = 0,
 ) -> FederationHistory:
     """Run the full federated session and return its history.
 
-    The best round is the one whose post-aggregation global scores the
-    lowest validation MSE (sample-weighted over all clients); ties keep the
-    earliest round.
+    seed fixes the initial weights, each client's shuffle stream and the
+    client sampling. The best round is the one whose post-aggregation global
+    scores the lowest validation MSE (sample-weighted over all clients); ties
+    keep the earliest round.
     """
     _check_cohort(clients)
     by_id = {c.client_id: c for c in clients}
     ids = tuple(c.client_id for c in clients)
     if federation.rounds > 0:
-        # A round needs at least one optimizer step per sampled client.
-        if federation.local_epochs < 1:
-            raise FederationError("local_epochs must be >= 1 when rounds > 0")
         for c in clients:
             if c.train.count == 0:
                 raise FederationError(f"{c.client_id}: no training windows")
         if all(c.validation.count == 0 for c in clients):
             raise FederationError("no client has validation windows")
 
-    global_pv = init_model(spec, federation.seed)
+    global_pv = init_model(spec, seed)
     server_state = ServerState.zeros(global_pv.size)
-    stream_seeds = {cid: client_stream_seed(federation.seed, cid) for cid in ids}
-    trainers: dict[str, tuple[AdamState, int]] = {
-        cid: (AdamState.zeros(global_pv.size), 0) for cid in ids
-    }
-    is_fedprox = aggregator.strategy == "fedprox" and aggregator.mu > 0.0
+    stream_seeds = {cid: client_stream_seed(seed, cid) for cid in ids}
+    trainers = {cid: AdamState.zeros(global_pv.size) for cid in ids}
+    mu = aggregator.mu if aggregator.strategy == "fedprox" else 0.0
 
     records: list[RoundRecord] = []
     best_round: Optional[int] = None
@@ -172,28 +172,25 @@ def run_federated(
     best_global = global_pv.copy()
 
     for r in range(federation.rounds):
-        sampled = sample_clients(ids, federation.sampling_fraction, r, federation.seed)
+        sampled = sample_clients(ids, federation.sampling_fraction, r, seed)
         updates: list[ClientUpdate] = []
         train_stats: dict[str, tuple[float, int]] = {}
         for cid in sampled:
             cw = by_id[cid]
-            state, offset = trainers[cid]
             report = train_local(
                 spec,
                 global_pv,
                 cw.train,
                 epochs=federation.local_epochs,
                 seed=stream_seeds[cid],
-                proximal_mu=aggregator.mu if is_fedprox else 0.0,
-                proximal_anchor=global_pv.values if is_fedprox else None,
-                state=state,
-                epoch_offset=offset,
+                proximal_mu=mu,
+                state=trainers[cid],
             )
-            trainers[cid] = (report.state, report.next_epoch)
+            trainers[cid] = report.state
             updates.append(
                 ClientUpdate(
                     client_id=cid,
-                    local_params=report.final_params,
+                    local_params=report.params,
                     n_samples=cw.train.count,
                     local_steps=report.steps,
                 )
@@ -291,14 +288,13 @@ def fine_tune(
     Starts a FRESH Adam state (the server never ships optimizer moments);
     epochs == 0 returns the global weights unchanged.
     """
-    report = train_local(
+    return train_local(
         spec,
         global_params,
         client.train,
         epochs=epochs,
         seed=client_stream_seed(seed, client.client_id),
-    )
-    return report.final_params
+    ).params
 
 
 @dataclass(frozen=True)

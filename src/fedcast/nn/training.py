@@ -1,12 +1,13 @@
-"""Mini-batch Adam training with optional proximal anchoring.
+"""Mini-batch Adam training with an optional FedProx proximal term.
 
 train_local (fixed epochs) and train_with_early_stopping (validation scored
 every epoch, patience rule, best-epoch weights) share one epoch loop. One
 epoch = one seeded shuffle + sequential batches of spec.batch_size (the
-last batch keeps the remainder). The shuffle stream for epoch e is derived
-from SeedSequence([seed, e]), so epoch e of a long run and round e of a
-one-epoch-per-round federated run draw identical permutations. Local step
-counts follow tau = epochs * ceil(n / batch_size).
+last batch keeps the remainder). Local step counts follow
+tau = epochs * ceil(n / batch_size), so an Adam state's step count fixes
+the epoch a call resumes at. The shuffle stream for epoch e is derived from
+SeedSequence([seed, e]), so epoch e of a long run and round e of a
+one-epoch-per-round federated run draw identical permutations.
 """
 
 from __future__ import annotations
@@ -101,8 +102,8 @@ class TrainReport:
     """Everything one training call produced.
 
     params is the call's result (best-validation weights for early stopping,
-    final weights otherwise); final_params always holds the last-step
-    weights. state/next_epoch let a caller continue the same trajectory.
+    final weights otherwise); state lets a caller continue the same
+    trajectory.
     """
 
     train_losses: tuple[float, ...]
@@ -111,9 +112,7 @@ class TrainReport:
     steps: int
     best_epoch: Optional[int]
     params: ParameterVector
-    final_params: ParameterVector
     state: AdamState
-    next_epoch: int
 
 
 class EarlyStopper:
@@ -156,7 +155,7 @@ def _run_epoch(
     train: WindowedDataset,
     rng: np.random.Generator,
     proximal_mu: float,
-    proximal_anchor: Optional[np.ndarray],
+    anchor: np.ndarray,
 ) -> tuple[np.ndarray, AdamState, float, int]:
     n = train.count
     perm = rng.permutation(n)
@@ -170,7 +169,7 @@ def _run_epoch(
             # FedProx anchor: mu/2 * ||w - w_anchor||^2 added to every batch
             # objective. Skipped entirely at mu == 0 so FedProx(0) stays
             # bit-identical to plain training.
-            diff = values - proximal_anchor
+            diff = values - anchor
             loss += 0.5 * proximal_mu * float(diff @ diff)
             grad += proximal_mu * diff
         values, state = adam_step(state, values, grad, spec.learning_rate)
@@ -187,16 +186,15 @@ def _train(
     *,
     seed: int,
     proximal_mu: float = 0.0,
-    anchor: Optional[np.ndarray] = None,
     state: Optional[AdamState] = None,
-    epoch_offset: int = 0,
     validation: Optional[WindowedDataset] = None,
     stopper: Optional[EarlyStopper] = None,
 ) -> TrainReport:
     """The one epoch loop behind train_local and train_with_early_stopping.
 
-    With a stopper, every epoch is scored on validation, the best-epoch
-    weights are kept, and the loop ends once the stopper says so.
+    The proximal term anchors to the weights the call starts from. With a
+    stopper, every epoch is scored on validation, the best-epoch weights are
+    kept, and the loop ends once the stopper says so.
     """
     if epochs > 0 and train.count == 0:
         raise ValueError("cannot train on zero windows")
@@ -204,14 +202,19 @@ def _train(
     values = params.values.copy()
     best_values = values
     state = state if state is not None else AdamState.zeros(layout.size)
+    per_epoch = max(1, math.ceil(train.count / spec.batch_size))
+    first_epoch, partial = divmod(state.step, per_epoch)
+    if partial:
+        raise ValueError(f"state.step {state.step} is not a whole number of "
+                         f"{per_epoch}-step epochs")
     train_losses: list[float] = []
     val_losses: list[float] = []
     val_maes: list[float] = []
     total_steps = 0
     for e in range(epochs):
-        rng = _epoch_rng(seed, epoch_offset + e)
+        rng = _epoch_rng(seed, first_epoch + e)
         values, state, epoch_loss, steps = _run_epoch(
-            spec, layout, values, state, train, rng, proximal_mu, anchor
+            spec, layout, values, state, train, rng, proximal_mu, params.values
         )
         total_steps += steps
         train_losses.append(epoch_loss)
@@ -223,17 +226,15 @@ def _train(
                 best_values = values.copy()
             if stopper.update(mse):
                 break
-    final = ParameterVector(values, layout)
     return TrainReport(
         train_losses=tuple(train_losses),
         val_losses=tuple(val_losses),
         val_maes=tuple(val_maes),
         steps=total_steps,
         best_epoch=stopper.best_epoch if stopper is not None else None,
-        params=ParameterVector(best_values, layout) if stopper is not None else final,
-        final_params=final,
+        params=ParameterVector(best_values if stopper is not None else values,
+                               layout),
         state=state,
-        next_epoch=epoch_offset + len(train_losses),
     )
 
 
@@ -245,30 +246,22 @@ def train_local(
     *,
     seed: int = 0,
     proximal_mu: float = 0.0,
-    proximal_anchor: Optional[np.ndarray] = None,
     state: Optional[AdamState] = None,
-    epoch_offset: int = 0,
 ) -> TrainReport:
     """Run a fixed number of epochs; returns the final weights.
 
     epochs == 0 returns the input parameters untouched with zero steps.
-    state/epoch_offset continue an earlier trajectory (same shuffle streams
-    and optimizer moments as one uninterrupted run).
+    proximal_mu > 0 pulls every step toward params (FedProx). state
+    continues an earlier run on the same windows at the epoch its step count
+    reaches, as one uninterrupted run would.
     """
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
     if proximal_mu < 0:
         raise ValueError("proximal_mu must be >= 0")
-    anchor = None
-    if proximal_mu > 0.0:
-        if proximal_anchor is None:
-            raise ValueError("proximal_mu > 0 requires an anchor")
-        anchor = np.asarray(proximal_anchor, dtype=np.float64)
-        if anchor.shape != params.values.shape:
-            raise ValueError("anchor shape differs from parameter shape")
     return _train(
         spec, params, train, epochs, seed=seed, proximal_mu=proximal_mu,
-        anchor=anchor, state=state, epoch_offset=epoch_offset,
+        state=state,
     )
 
 
@@ -284,9 +277,8 @@ def train_with_early_stopping(
 ) -> TrainReport:
     """Train until validation MSE stops improving for `patience` epochs.
 
-    Returns the best-validation-epoch weights in .params (the last-epoch
-    weights stay available in .final_params). Strictly improving validation
-    loss runs the full max_epochs.
+    Returns the best-validation-epoch weights in .params. Strictly improving
+    validation loss runs the full max_epochs.
     """
     if max_epochs < 1:
         raise ValueError("max_epochs must be >= 1")

@@ -32,4 +32,4 @@ def random_windows(m, window_size=10, d=len(FEATURES), seed=0, scale=1.0):
     rng = np.random.Generator(np.random.PCG64(seed))
     inputs = rng.uniform(0.0, scale, size=(m, window_size, d))
     targets = inputs[:, -1, :5] + 0.01 * rng.standard_normal((m, 5))
-    return WindowedDataset(inputs=inputs, targets=targets, window_size=window_size)
+    return WindowedDataset(inputs=inputs, targets=targets)

@@ -78,8 +78,9 @@ def federate(spec, clients, rounds, epochs, seed, aggregator=FEDAVG):
     return run_federated(
         spec,
         clients,
-        FederationConfig(rounds=rounds, local_epochs=epochs, seed=seed),
+        FederationConfig(rounds=rounds, local_epochs=epochs),
         aggregator,
+        seed,
     )
 
 
@@ -234,19 +235,20 @@ def test_criterion_06_single_client_federation_bridge():
     # uninterrupted local epochs bit for bit
     data = generate_synthetic(three_station_cohort(3))
     client = preprocess_clients(data[:1], PreprocessConfig())[0]
-    # run_federated starts from init_model(spec, federation.seed)
+    # run_federated starts from init_model(spec, seed)
     initial = init_model(MLP, seed=5)
     history = run_federated(
         MLP, [client],
-        FederationConfig(rounds=20, local_epochs=1, seed=5),
+        FederationConfig(rounds=20, local_epochs=1),
         FEDAVG,
+        seed=5,
     )
     straight = train_local(
         MLP, initial, client.train, epochs=20,
         seed=client_stream_seed(5, client.client_id),
     )
     assert np.array_equal(
-        history.final_global.values, straight.final_params.values
+        history.final_global.values, straight.params.values
     )
 
 

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fedcast.aggregation import (
     STRATEGIES,
+    STRATEGY_FIELDS,
     TUNING_GRIDS,
     AggregationError,
     AggregatorConfig,
@@ -59,6 +62,40 @@ def test_tuning_grids_cover_reference_table():
         assert TUNING_GRIDS[name]["server_lr"] == [1e-2, 1e-1, 1.0]
         assert TUNING_GRIDS[name]["adaptivity"] == [1e-4, 1e-3, 1e-2, 1e-1]
     assert set(TUNING_GRIDS) == set(STRATEGIES)
+
+
+def test_tuning_grids_tune_only_fields_their_strategy_reads():
+    for strategy, grid in TUNING_GRIDS.items():
+        assert set(grid) <= set(STRATEGY_FIELDS[strategy]), strategy
+
+
+# A valid non-default value for every AggregatorConfig field but strategy.
+OTHER_VALUES = {"server_lr": 0.3, "mu": 0.7, "beta": 0.5, "rho": 0.4,
+                "beta1": 0.6, "beta2": 0.8, "adaptivity": 0.05}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_strategy_fields_are_exactly_what_aggregate_reads(strategy):
+    # a field outside the strategy's entry leaves weights and server state
+    # bit-identical; every field inside it moves them, except fedprox's mu,
+    # which its clients read
+    fields = {f.name for f in dataclasses.fields(AggregatorConfig)}
+    assert set(OTHER_VALUES) == fields - {"strategy"}
+    for trial in range(3):
+        rng = np.random.Generator(np.random.PCG64(trial))
+        g = rng.standard_normal(4)
+        ups = [update(cid, g + rng.standard_normal(4), n=n, steps=steps)
+               for cid, n, steps in zip("abc", (2, 7, 1), (3, 1, 2))]
+        state = ServerState(rng.standard_normal(4), np.abs(rng.standard_normal(4)))
+        base_w, base_s = aggregate(AggregatorConfig(strategy), state, pv(g), ups)
+        for field, value in OTHER_VALUES.items():
+            config = AggregatorConfig(strategy, **{field: value})
+            w, s = aggregate(config, state, pv(g), ups)
+            same = (np.array_equal(w.values, base_w.values)
+                    and np.array_equal(s.momentum, base_s.momentum)
+                    and np.array_equal(s.second_moment, base_s.second_moment))
+            read = field in STRATEGY_FIELDS[strategy] and field != "mu"
+            assert same != read, (field, trial)
 
 
 def test_client_update_validation():

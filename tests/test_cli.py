@@ -119,6 +119,9 @@ def test_run_rejects_invalid_config(tmp_path, capsys):
         ("config.federation.rounds", {
             "federation": {"rounds": 1.5, "local_epochs": 1}
         }),
+        ("config.federation.local_epochs", {
+            "federation": {"rounds": 2, "local_epochs": 0}
+        }),
         ("config.fine_tune", {"fine_tune": "false"}),
         ("config.grid.mu[0]", {"grid": {"mu": ["x"]}}),
         ("config.data.synthetic.clients[0].days", client(days=1.5)),
@@ -132,11 +135,33 @@ def test_run_rejects_invalid_config(tmp_path, capsys):
         ("config.model", {"preprocessing": {"window_size": 5}}),
         ("config.model", {"model": {"architecture": "mlp", "window_size": 6,
                                     "n_targets": 3}}),
-        ("config.grid", {"grid": {"mu": [0.1, 0.1000001]}}),
+        ("config.grid", {"grid": {"mu": [0.1, 0.1000001]},
+                         "aggregator": {"strategy": "fedprox"}}),
         ("per_client_percentiles names clients not in the cohort: ['bs999']", {
             "preprocessing": {"window_size": 6,
                               "per_client_percentiles": {"bs999": [5.0, 95.0]}}
         }),
+        # the run seed is the only seed; a federation seed would be ignored
+        ("config.federation: unknown keys ['seed']", {
+            "federation": {"rounds": 2, "local_epochs": 1, "seed": 7}
+        }),
+        # knobs that would change nothing: a grid key the strategy never
+        # reads, percentile overrides with flooring and capping off
+        ("config.grid: grid key 'mu' is not a tunable parameter of strategy "
+         "'fedavg'", {"grid": {"mu": [0.1, 1.0]}}),
+        ("config.preprocessing.per_client_percentiles", {
+            "preprocessing": {"window_size": 6, "use_flood_cap": False,
+                              "per_client_percentiles": {"bs000": [40.0, 60.0]}}
+        }),
+    ] + [
+        # one synthetic day splits 432/144/144 rows, so window 150 leaves no
+        # test (or validation) windows in any setting
+        ("bs000, bs001: no test windows", {
+            "setting": setting, "preprocessing": {"window_size": 150},
+            "model": {"architecture": "mlp", "window_size": 150,
+                      "hidden_sizes": [4]},
+        })
+        for setting in ("individual", "centralized", "federated")
     ]:
         bad = write_config(tmp_path, **override)
         assert main(["run", "--config", str(bad), "--output-dir", str(out_dir)]) == 2

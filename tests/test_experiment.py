@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedcast.aggregation import AggregatorConfig
-from fedcast.dataio import PreprocessConfig
+from fedcast.dataio import DataError, PreprocessConfig, save_csv
 from fedcast.experiment import (
     ConfigError,
     DataConfig,
@@ -28,6 +28,7 @@ from fedcast.federation import FederationConfig
 from fedcast.nn.models import ModelSpec, layout_for
 from fedcast.nn.params import deserialize_params
 from fedcast.synthetic import SyntheticClientSpec, SyntheticSpec
+from helpers import random_dataset
 
 
 def tiny_cohort(n=2, days=1):
@@ -121,12 +122,20 @@ def test_config_validation_rules(tmp_path):
         tiny_config(tmp_path, setting="centralized", grid={"mu": (0.1,)})
     with pytest.raises(ValueError, match="not a tunable"):
         tiny_config(tmp_path, grid={"strategy": ("fedavg",)})
+    # a key the strategy never reads would train one model under many labels
+    with pytest.raises(ValueError, match="'mu' is not a tunable parameter of "
+                                         "strategy 'fedavg'"):
+        tiny_config(tmp_path, grid={"mu": (0.1, 1.0)})
+    with pytest.raises(ValueError, match="per_client_percentiles has no effect"):
+        PreprocessConfig(use_flood_cap=False,
+                         per_client_percentiles={"bs000": (40.0, 60.0)})
     with pytest.raises(ValueError, match="fine_tune"):
         tiny_config(tmp_path, setting="individual", fine_tune=True)
     with pytest.raises(ValueError, match="model .* does not match"):
         tiny_config(tmp_path, preprocessing=PreprocessConfig(window_size=5))
     with pytest.raises(ValueError, match="share a cell label"):
-        tiny_config(tmp_path, grid={"mu": (0.1, 0.1)})
+        tiny_config(tmp_path, aggregator=AggregatorConfig("fedprox"),
+                    grid={"mu": (0.1, 0.1)})
     with pytest.raises(ValueError):
         DataConfig(paths=("a.csv",), synthetic=tiny_cohort())
     with pytest.raises(ValueError):
@@ -281,7 +290,8 @@ def test_load_config_rejects_empty_file(tmp_path):
 
 def test_grid_cells_product_and_labels(tmp_path):
     config = tiny_config(
-        tmp_path, grid={"server_lr": (0.1, 1.0), "adaptivity": (1e-3,)}
+        tmp_path, aggregator=AggregatorConfig("fedadam"),
+        grid={"server_lr": (0.1, 1.0), "adaptivity": (1e-3,)},
     )
     cells = _grid_cells(config)
     assert [label for label, _ in cells] == [
@@ -427,6 +437,25 @@ def test_individual_experiment_artifacts(tmp_path):
     }
     assert clients_in_csv == {"bs000", "bs001"}
     assert summary.runs[0].best_index is None
+
+
+@pytest.mark.parametrize("setting", ["individual", "centralized", "federated"])
+def test_run_rejects_cohort_without_validation_windows(tmp_path, setting):
+    # 721 rows split 432/144/145: at window 144 each client keeps one test
+    # window and no validation window, so no setting can train
+    paths = []
+    for i in range(2):
+        path = tmp_path / f"bs00{i}.csv"
+        save_csv(random_dataset(721, seed=i, client_id=f"bs00{i}"), path)
+        paths.append(str(path))
+    config = tiny_config(
+        tmp_path, setting=setting, data=DataConfig(paths=tuple(paths)),
+        preprocessing=PreprocessConfig(window_size=144),
+        model=ModelSpec(architecture="mlp", window_size=144, hidden_sizes=(4,)),
+    )
+    with pytest.raises(DataError, match="bs000, bs001: no validation windows"):
+        run_experiment(config)
+    assert not Path(config.output_dir).exists()
 
 
 def test_rerun_from_manifest_is_byte_identical(tmp_path):

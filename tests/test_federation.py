@@ -32,7 +32,7 @@ def windows(m, seed, spec=SPEC):
     targets = inputs[:, -1, : spec.n_targets] + 0.01 * rng.standard_normal(
         (m, spec.n_targets)
     )
-    return WindowedDataset(inputs=inputs, targets=targets, window_size=spec.window_size)
+    return WindowedDataset(inputs=inputs, targets=targets)
 
 
 def client(cid, n_train=24, n_val=8, n_test=8, seed=0):
@@ -46,9 +46,9 @@ def client(cid, n_train=24, n_val=8, n_test=8, seed=0):
     )
 
 
-def fed(rounds=3, epochs=1, fraction=1.0, seed=0):
+def fed(rounds=3, epochs=1, fraction=1.0):
     return FederationConfig(rounds=rounds, local_epochs=epochs,
-                            sampling_fraction=fraction, seed=seed)
+                            sampling_fraction=fraction)
 
 
 FEDAVG = AggregatorConfig("fedavg")
@@ -120,6 +120,8 @@ def test_federation_config_validation():
         FederationConfig(rounds=1, local_epochs=-1)
     with pytest.raises(FederationError):
         FederationConfig(rounds=1, local_epochs=1, sampling_fraction=0.0)
+    with pytest.raises(FederationError, match="when rounds > 0"):
+        FederationConfig(rounds=1, local_epochs=0)
     FederationConfig(rounds=0, local_epochs=0)  # an empty session is fine
 
 
@@ -149,7 +151,7 @@ def test_run_federated_rejects_bad_cohorts():
 
 def test_zero_round_session_returns_initial():
     initial = init_model(SPEC, 5)
-    hist = run_federated(SPEC, [client("a")], fed(rounds=0, seed=5), FEDAVG)
+    hist = run_federated(SPEC, [client("a")], fed(rounds=0), FEDAVG, seed=5)
     assert hist.rounds == ()
     assert hist.best_round is None
     assert np.array_equal(hist.best_global.values, initial.values)
@@ -160,20 +162,20 @@ def test_single_client_session_is_plain_local_training():
     # one client, full participation, eta == 1: R rounds of E epochs must
     # reproduce an uninterrupted R*E epoch local run bit for bit
     cw = client("solo")
-    # run_federated starts from init_model(spec, federation.seed)
+    # run_federated starts from init_model(spec, seed)
     initial = init_model(SPEC, 11)
-    hist = run_federated(SPEC, [cw], fed(rounds=3, epochs=2, seed=11), FEDAVG)
+    hist = run_federated(SPEC, [cw], fed(rounds=3, epochs=2), FEDAVG, seed=11)
     straight = train_local(
         SPEC, initial, cw.train, epochs=6, seed=client_stream_seed(11, "solo")
     )
-    assert np.array_equal(hist.final_global.values, straight.final_params.values)
+    assert np.array_equal(hist.final_global.values, straight.params.values)
 
 
 def test_round_records_account_participation():
     clients = [client("a", n_train=24), client("b", n_train=16),
                client("c", n_train=8)]
-    hist = run_federated(SPEC, clients, fed(rounds=4, fraction=0.5, seed=2),
-                         FEDAVG)
+    hist = run_federated(SPEC, clients, fed(rounds=4, fraction=0.5), FEDAVG,
+                         seed=2)
     payload = hist.payload_bytes
     assert payload == 8 * init_model(SPEC, 0).size
     for record in hist.rounds:
@@ -206,7 +208,7 @@ def test_aggregate_validation_is_count_weighted():
 
 def test_best_round_is_validation_argmin():
     clients = [client("a"), client("b", seed=4)]
-    hist = run_federated(SPEC, clients, fed(rounds=5, seed=9), FEDAVG)
+    hist = run_federated(SPEC, clients, fed(rounds=5), FEDAVG, seed=9)
     mses = [r.agg_val_mse for r in hist.rounds]
     assert hist.best_round == int(np.argmin(mses))
     # stored best weights reproduce the recorded best validation score
@@ -220,8 +222,8 @@ def test_best_round_is_validation_argmin():
 
 def test_run_federated_deterministic():
     clients = [client("a"), client("b", seed=4)]
-    h1 = run_federated(SPEC, clients, fed(rounds=3, seed=1), FEDAVG)
-    h2 = run_federated(SPEC, clients, fed(rounds=3, seed=1), FEDAVG)
+    h1 = run_federated(SPEC, clients, fed(rounds=3), FEDAVG, seed=1)
+    h2 = run_federated(SPEC, clients, fed(rounds=3), FEDAVG, seed=1)
     assert np.array_equal(h1.final_global.values, h2.final_global.values)
     assert [r.sampled for r in h1.rounds] == [r.sampled for r in h2.rounds]
     assert [r.agg_val_mse for r in h1.rounds] == [r.agg_val_mse for r in h2.rounds]
@@ -305,8 +307,8 @@ def test_ledger_reference_session_sizes():
 
 def test_ledger_matches_round_records():
     clients = [client("a"), client("b", seed=4), client("c", seed=5)]
-    hist = run_federated(SPEC, clients, fed(rounds=6, fraction=0.5, seed=3),
-                         FEDAVG)
+    hist = run_federated(SPEC, clients, fed(rounds=6, fraction=0.5), FEDAVG,
+                         seed=3)
     ledger = account_communication(hist)
     assert ledger.payload_bytes == hist.payload_bytes
     participants = sum(len(r.sampled) for r in hist.rounds)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedcast.nn.models import ModelSpec, init_model, layout_for
-from fedcast.nn.params import zeros_like
+from fedcast.nn.params import ParameterVector, zeros_like
 from fedcast.nn.training import (
     AdamState,
     EarlyStopper,
@@ -119,45 +119,67 @@ def test_train_local_learns_learnable_instance():
 
 
 def test_train_local_continuation_matches_uninterrupted_run():
+    # 60 windows at batch 16: four steps per epoch, the last one short; the
+    # state's step count alone tells the second call to resume at epoch 2
     w = random_windows(60, seed=7)
     pv = init_model(SMALL, 5)
     full = train_local(SMALL, pv, w, epochs=4, seed=11)
     first = train_local(SMALL, pv, w, epochs=2, seed=11)
-    second = train_local(
-        SMALL, first.params, w, epochs=2, seed=11,
-        state=first.state, epoch_offset=first.next_epoch,
-    )
+    assert first.state.step == 8
+    second = train_local(SMALL, first.params, w, epochs=2, seed=11,
+                         state=first.state)
     assert np.array_equal(second.params.values, full.params.values)
     assert first.train_losses + second.train_losses == full.train_losses
+
+
+def test_train_local_rejects_state_mid_epoch():
+    w = random_windows(60, seed=7)
+    pv = init_model(SMALL, 5)
+    state = train_local(SMALL, pv, w, epochs=2, seed=11).state  # 8 steps
+    with pytest.raises(ValueError, match="whole number"):
+        # 45 windows take three steps per epoch, and 8 is not a multiple
+        train_local(SMALL, pv, random_windows(45, seed=7), seed=11, state=state)
+    with pytest.raises(ValueError, match="whole number"):
+        train_local(SMALL, pv, w, seed=11,
+                    state=dataclasses.replace(state, step=3))
 
 
 def test_train_local_mu_zero_bitwise_identical_to_plain():
     w = random_windows(40, seed=8)
     pv = init_model(SMALL, 6)
     plain = train_local(SMALL, pv, w, epochs=3, seed=2)
-    prox0 = train_local(SMALL, pv, w, epochs=3, seed=2,
-                        proximal_mu=0.0, proximal_anchor=pv.values)
+    prox0 = train_local(SMALL, pv, w, epochs=3, seed=2, proximal_mu=0.0)
     assert np.array_equal(plain.params.values, prox0.params.values)
 
 
 def test_train_local_proximal_term_composition():
-    # one epoch, one full batch: the update must equal a manual Adam step on
-    # mse-gradient + proximal gradient over the same shuffled batch
+    # one epoch, two batches, anchored to the start weights: the first step's
+    # pull is zero and the second's is not. Each update must equal a manual
+    # Adam step on mse-gradient + proximal gradient over the same batch.
     w = random_windows(12, seed=9)
     pv = init_model(SMALL, 7)
-    anchor = init_model(SMALL, 8).values
+    spec = dataclasses.replace(SMALL, batch_size=6)
     mu = 0.5
-    report = train_local(dataclasses.replace(SMALL, batch_size=64), pv, w,
-                         epochs=1, seed=13, proximal_mu=mu, proximal_anchor=anchor)
+    report = train_local(spec, pv, w, epochs=1, seed=13, proximal_mu=mu)
 
     idx = _epoch_rng(13, 0).permutation(w.count)
-    base_loss, grad = loss_and_grad(SMALL, pv, w.inputs[idx], w.targets[idx])
-    d = pv.values - anchor
-    prox_loss, prox_grad = 0.5 * mu * float(d @ d), mu * d
-    manual, _ = adam_step(AdamState.zeros(pv.size), pv.values, grad + prox_grad,
-                          SMALL.learning_rate)
-    assert np.array_equal(report.params.values, manual)
-    assert report.train_losses[0] == pytest.approx(base_loss + prox_loss, rel=1e-12)
+    values, state = pv.values, AdamState.zeros(pv.size)
+    weighted_loss = 0.0
+    pulls = []
+    for batch in (idx[:6], idx[6:]):
+        base_loss, grad = loss_and_grad(
+            spec, ParameterVector(values, pv.layout), w.inputs[batch],
+            w.targets[batch],
+        )
+        d = values - pv.values
+        pulls.append(float(d @ d))
+        prox_loss, prox_grad = 0.5 * mu * float(d @ d), mu * d
+        values, state = adam_step(state, values, grad + prox_grad,
+                                  spec.learning_rate)
+        weighted_loss += (base_loss + prox_loss) * len(batch)
+    assert pulls[0] == 0.0 and pulls[1] > 0.0
+    assert np.array_equal(report.params.values, values)
+    assert report.train_losses[0] == pytest.approx(weighted_loss / 12, rel=1e-12)
 
 
 def test_train_local_validates_arguments():
@@ -166,13 +188,7 @@ def test_train_local_validates_arguments():
     with pytest.raises(ValueError):
         train_local(SMALL, pv, w, epochs=-1)
     with pytest.raises(ValueError):
-        train_local(SMALL, pv, w, epochs=1, proximal_mu=0.1)  # no anchor
-    with pytest.raises(ValueError):
-        train_local(SMALL, pv, w, epochs=1, proximal_mu=-1.0,
-                    proximal_anchor=pv.values)
-    with pytest.raises(ValueError):
-        train_local(SMALL, pv, w, epochs=1, proximal_mu=1.0,
-                    proximal_anchor=np.zeros(3))
+        train_local(SMALL, pv, w, epochs=1, proximal_mu=-1.0)
     with pytest.raises(ValueError):
         train_local(SMALL, pv, random_windows(0), epochs=1)
 
