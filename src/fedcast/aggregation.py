@@ -25,7 +25,7 @@ order, so aggregation is invariant to update ordering, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -75,7 +75,8 @@ class AggregatorConfig:
     server_lr is eta; mu is the FedProx client proximal weight; beta the
     FedAvgM momentum; rho the FedNova momentum; beta1/beta2 the adaptive
     first/second-moment decays and adaptivity their lambda. Each strategy
-    reads only its STRATEGY_FIELDS entry.
+    reads only its STRATEGY_FIELDS entry; any other field must keep its
+    default, since a value there would change nothing.
     """
 
     strategy: str
@@ -102,6 +103,14 @@ class AggregatorConfig:
                 raise AggregationError(f"{name} must be in [0, 1), got {v}")
         if self.adaptivity <= 0:
             raise AggregationError("adaptivity must be positive")
+        reads = STRATEGY_FIELDS[self.strategy]
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in ("strategy", *reads) and value != f.default:
+                raise AggregationError(
+                    f"{f.name} {value!r} is not read by strategy {self.strategy!r}, "
+                    f"which reads {list(reads)}"
+                )
 
 
 @dataclass(frozen=True)
@@ -224,15 +233,13 @@ def aggregate(
             state.second_moment - sq
         )
         new_w = w + eta * new_momentum / (np.sqrt(new_second) + config.adaptivity)
-    elif strategy == "fedadam":
+    else:  # fedadam; AggregatorConfig admits no other strategy
         dw = weighted_delta(ordered, global_params)
         new_momentum = config.beta1 * state.momentum + (1.0 - config.beta1) * dw
         new_second = config.beta2 * state.second_moment + (1.0 - config.beta2) * (
             dw * dw
         )
         new_w = w + eta * new_momentum / (np.sqrt(new_second) + config.adaptivity)
-    else:  # pragma: no cover - guarded by AggregatorConfig validation
-        raise AggregationError(f"unknown strategy {strategy!r}")
 
     return (ParameterVector(new_w, global_params.layout),
             ServerState(new_momentum, new_second))

@@ -31,7 +31,7 @@ import numpy as np
 import yaml
 
 from fedcast import __version__
-from fedcast.aggregation import STRATEGY_FIELDS, AggregatorConfig
+from fedcast.aggregation import STRATEGY_FIELDS, AggregationError, AggregatorConfig
 from fedcast.dataio import (
     N_FEATURES,
     N_TARGETS,
@@ -58,6 +58,9 @@ from fedcast.nn.training import TrainReport
 from fedcast.synthetic import SyntheticSpec, generate_synthetic
 
 SETTINGS = ("individual", "centralized", "federated")
+# Client-mean test metrics of a run: RunResult fields, summary mean/std pairs
+# and the final rows of emit_plot_data, in this order.
+HEADLINE_METRICS = ("avg_nrmse", "avg_mae", "avg_rmse")
 
 
 class ConfigError(ValueError):
@@ -133,6 +136,9 @@ class ExperimentConfig:
                 f"model (window_size, n_features, n_targets) {model_shape} does "
                 f"not match the data's {data_shape}"
             )
+        # (label, aggregator) of every run cell, built here so that a grid
+        # value the strategy rejects fails before anything runs
+        cells = {"base": self.aggregator}
         if self.grid is not None:
             if not self.grid or not all(self.grid.values()):
                 raise ValueError("grid must map parameters to non-empty value lists")
@@ -145,12 +151,20 @@ class ExperimentConfig:
                         f"grid key {key!r} is not a tunable parameter of strategy "
                         f"{strategy!r}, which reads {list(STRATEGY_FIELDS[strategy])}"
                     )
-                labels = [f"{v:g}" for v in self.grid[key]]
-                if len(set(labels)) < len(labels):
+            keys = sorted(self.grid)
+            cells = {}
+            for combo in itertools.product(*(self.grid[k] for k in keys)):
+                assignment = dict(zip(keys, combo))
+                label = "_".join(f"{k}={v:g}" for k, v in assignment.items())
+                if label in cells:
                     raise ValueError(
-                        f"grid values of {key!r} {list(self.grid[key])} share a "
-                        f"cell label: {labels}"
+                        f"grid values {self.grid} share a cell label: {label}"
                     )
+                try:
+                    cells[label] = dataclasses.replace(self.aggregator, **assignment)
+                except AggregationError as exc:
+                    raise ValueError(f"grid cell {label}: {exc}") from exc
+        object.__setattr__(self, "cells", tuple(cells.items()))
         if self.fine_tune and self.setting == "individual":
             raise ValueError("fine_tune applies to shared-model settings only")
         if self.fine_tune_epochs < 0:
@@ -298,22 +312,6 @@ class ExperimentSummary:
     output_dir: str
 
 
-def _grid_cells(config: ExperimentConfig) -> list[tuple[str, dict]]:
-    if not config.grid:
-        return [("base", {})]
-    keys = sorted(config.grid)
-    cells = []
-    for combo in itertools.product(*(config.grid[k] for k in keys)):
-        assignment = dict(zip(keys, combo))
-        label = "_".join(f"{k}={assignment[k]:g}" for k in keys)
-        cells.append((label, assignment))
-    return cells
-
-
-def _client_mean(reports: Mapping[str, MetricReport], attr: str) -> float:
-    return float(np.mean([getattr(r, attr) for r in reports.values()]))
-
-
 def _score_params(
     spec: ModelSpec,
     params_for: Callable[[ClientWindows], ParameterVector],
@@ -416,12 +414,8 @@ def run_experiment(
     out_root = Path(output_dir if output_dir is not None else config.output_dir)
     out_root.mkdir(parents=True, exist_ok=True)
 
-    cells = _grid_cells(config)
     runs: list[RunResult] = []
-    for cell_label, assignment in cells:
-        aggregator = config.aggregator
-        if assignment:
-            aggregator = dataclasses.replace(aggregator, **assignment)
+    for cell_label, aggregator in config.cells:
         for seed in config.seeds:
             run_dir = out_root / cell_label / f"seed-{seed}"
             run_dir.mkdir(parents=True, exist_ok=True)
@@ -432,7 +426,7 @@ def run_experiment(
     summary = ExperimentSummary(
         name=config.name,
         setting=config.setting,
-        cells=tuple(label for label, _ in cells),
+        cells=tuple(label for label, _ in config.cells),
         runs=tuple(runs),
         output_dir=str(out_root),
     )
@@ -492,9 +486,8 @@ def _run_once(
     result = RunResult(
         cell=cell,
         seed=seed,
-        avg_nrmse=_client_mean(per_client, "avg_nrmse"),
-        avg_mae=_client_mean(per_client, "avg_mae"),
-        avg_rmse=_client_mean(per_client, "avg_rmse"),
+        **{m: float(np.mean([getattr(r, m) for r in per_client.values()]))
+           for m in HEADLINE_METRICS},
         best_index=best_index,
         server_total_mb=server_total_mb,
         per_client=per_client,
@@ -508,21 +501,12 @@ def _summary_payload(summary: ExperimentSummary) -> dict:
     cells = []
     for cell in summary.cells:
         cell_runs = [r for r in summary.runs if r.cell == cell]
-        nrmses = [r.avg_nrmse for r in cell_runs]
-        maes = [r.avg_mae for r in cell_runs]
-        rmses = [r.avg_rmse for r in cell_runs]
-        cells.append(
-            {
-                "cell": cell,
-                "runs": [dataclasses.asdict(r) for r in cell_runs],
-                "mean_avg_nrmse": float(np.mean(nrmses)),
-                "std_avg_nrmse": float(np.std(nrmses)),
-                "mean_avg_mae": float(np.mean(maes)),
-                "std_avg_mae": float(np.std(maes)),
-                "mean_avg_rmse": float(np.mean(rmses)),
-                "std_avg_rmse": float(np.std(rmses)),
-            }
-        )
+        payload = {"cell": cell, "runs": [dataclasses.asdict(r) for r in cell_runs]}
+        for m in HEADLINE_METRICS:
+            values = [getattr(r, m) for r in cell_runs]
+            payload[f"mean_{m}"] = float(np.mean(values))
+            payload[f"std_{m}"] = float(np.std(values))
+        cells.append(payload)
     return {
         "name": summary.name,
         "setting": summary.setting,
@@ -555,7 +539,7 @@ def emit_plot_data(run_dirs: Sequence[str | Path], out_path: str | Path) -> int:
                     seed = run["seed"]
                     final = [
                         [name, cell["cell"], seed, -1, metric, run[metric]]
-                        for metric in ("avg_nrmse", "avg_mae", "avg_rmse")
+                        for metric in HEADLINE_METRICS
                         if run[metric] is not None
                     ]
                     run_path = root / cell["cell"] / f"seed-{seed}"

@@ -164,7 +164,6 @@ def run_federated(
     server_state = ServerState.zeros(global_pv.size)
     stream_seeds = {cid: client_stream_seed(seed, cid) for cid in ids}
     trainers = {cid: AdamState.zeros(global_pv.size) for cid in ids}
-    mu = aggregator.mu if aggregator.strategy == "fedprox" else 0.0
 
     records: list[RoundRecord] = []
     best_round: Optional[int] = None
@@ -173,33 +172,23 @@ def run_federated(
 
     for r in range(federation.rounds):
         sampled = sample_clients(ids, federation.sampling_fraction, r, seed)
-        updates: list[ClientUpdate] = []
-        train_stats: dict[str, tuple[float, int]] = {}
+        reports: dict[str, TrainReport] = {}
         for cid in sampled:
-            cw = by_id[cid]
-            report = train_local(
+            reports[cid] = train_local(
                 spec,
                 global_pv,
-                cw.train,
+                by_id[cid].train,
                 epochs=federation.local_epochs,
                 seed=stream_seeds[cid],
-                proximal_mu=mu,
+                proximal_mu=aggregator.mu,
                 state=trainers[cid],
             )
-            trainers[cid] = report.state
-            updates.append(
-                ClientUpdate(
-                    client_id=cid,
-                    local_params=report.params,
-                    n_samples=cw.train.count,
-                    local_steps=report.steps,
-                )
-            )
-            train_stats[cid] = (report.train_losses[-1], report.steps)
+            trainers[cid] = reports[cid].state
 
-        global_pv, server_state = aggregate(
-            aggregator, server_state, global_pv, updates
-        )
+        global_pv, server_state = aggregate(aggregator, server_state, global_pv, [
+            ClientUpdate(cid, rep.params, by_id[cid].train.count, rep.steps)
+            for cid, rep in reports.items()
+        ])
 
         stats: dict[str, ClientRoundStats] = {}
         weighted_mse = 0.0
@@ -214,12 +203,11 @@ def run_federated(
                 val_total += cw.validation.count
             else:
                 v_mse, v_mae = None, None
-            loss, steps = train_stats.get(cid, (None, 0))
             stats[cid] = ClientRoundStats(
-                train_loss=loss,
+                train_loss=reports[cid].train_losses[-1] if cid in reports else None,
                 val_mse=v_mse,
                 val_mae=v_mae,
-                local_steps=steps,
+                local_steps=reports[cid].steps if cid in reports else 0,
                 n_samples=cw.train.count,
             )
         agg_mse = weighted_mse / val_total

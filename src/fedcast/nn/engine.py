@@ -33,10 +33,6 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -258,10 +254,7 @@ def conv2d(x, w, b, kernel: int, padding: int) -> Tensor:
                     g_padded[:, :, ki : ki + out_h, kj : kj + out_w] += (
                         g_col[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
                     )
-            if padding:
-                g_x = g_padded[:, :, padding:-padding, padding:-padding]
-            else:
-                g_x = g_padded
+            g_x = g_padded[:, :, padding : padding + height, padding : padding + width]
             _accum(x, g_x.copy())
 
     return _make(out, (x, w, b), backward)

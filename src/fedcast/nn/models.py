@@ -19,6 +19,9 @@ from fedcast.nn.params import Layout, ParameterVector, TensorSpec
 
 ARCHITECTURES: tuple[str, ...] = ("mlp", "rnn", "lstm", "gru", "cnn")
 
+# Windows per forward pass in predict; bounds its peak memory.
+PREDICT_CHUNK = 512
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -170,10 +173,6 @@ def _cnn(spec, tensors, x):
     return _dense_head(tensors, eg.spatial_mean(h))
 
 
-def _constant_tensors(params: ParameterVector) -> dict[str, Tensor]:
-    return {t.name: Tensor(params.view(t.name)) for t in params.layout.tensors}
-
-
 def leaf_tensors(params: ParameterVector) -> dict[str, Tensor]:
     """Parameter views wrapped as gradient-bearing graph leaves."""
     return {
@@ -182,29 +181,20 @@ def leaf_tensors(params: ParameterVector) -> dict[str, Tensor]:
     }
 
 
-def forward(spec: ModelSpec, params: ParameterVector, inputs: np.ndarray) -> np.ndarray:
-    """Predict (batch, n_targets) without building a gradient graph."""
-    return forward_graph(spec, _constant_tensors(params), inputs).data
+def predict(spec: ModelSpec, params: ParameterVector, inputs: np.ndarray) -> np.ndarray:
+    """Predict (batch, n_targets) in chunks of PREDICT_CHUNK windows.
 
-
-def predict(
-    spec: ModelSpec,
-    params: ParameterVector,
-    inputs: np.ndarray,
-    chunk_size: int = 1024,
-) -> np.ndarray:
-    """forward in bounded-memory chunks.
-
-    Chunked matmuls can round differently from one full-batch call, so
-    agreement with forward is to float precision, not bitwise; the chunk
-    boundaries themselves depend only on the input length, so repeated
-    calls on the same inputs are bit-identical.
+    The graph of one chunk is dropped before the next is built, so peak
+    memory is bounded by the chunk, not by len(inputs). Chunked matmuls can
+    round differently from one full-batch forward_graph call, so agreement
+    with it is to float precision, not bitwise; the chunk boundaries depend
+    only on the input length, so repeated calls are bit-identical.
     """
     x = np.asarray(inputs, dtype=np.float64)
-    if len(x) <= chunk_size:
-        return forward(spec, params, x)
+    constants = {t.name: Tensor(params.view(t.name)) for t in params.layout.tensors}
     parts = [
-        forward(spec, params, x[i : i + chunk_size])
-        for i in range(0, len(x), chunk_size)
+        forward_graph(spec, constants, x[i : i + PREDICT_CHUNK]).data
+        # at least one chunk, so zero windows give a (0, n_targets) result
+        for i in range(0, max(len(x), 1), PREDICT_CHUNK)
     ]
     return np.concatenate(parts, axis=0)

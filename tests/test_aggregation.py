@@ -76,11 +76,16 @@ OTHER_VALUES = {"server_lr": 0.3, "mu": 0.7, "beta": 0.5, "rho": 0.4,
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_strategy_fields_are_exactly_what_aggregate_reads(strategy):
-    # a field outside the strategy's entry leaves weights and server state
-    # bit-identical; every field inside it moves them, except fedprox's mu,
-    # which its clients read
-    fields = {f.name for f in dataclasses.fields(AggregatorConfig)}
-    assert set(OTHER_VALUES) == fields - {"strategy"}
+    # every field inside the strategy's entry moves the weights or server
+    # state, except fedprox's mu, which its clients read; a field outside it
+    # would change nothing, so any value but its default raises, naming it
+    fields = dataclasses.fields(AggregatorConfig)
+    assert set(OTHER_VALUES) == {f.name for f in fields} - {"strategy"}
+    for f in fields:
+        if f.name in OTHER_VALUES and f.name not in STRATEGY_FIELDS[strategy]:
+            AggregatorConfig(strategy, **{f.name: f.default})
+            with pytest.raises(AggregationError, match=f"^{f.name} "):
+                AggregatorConfig(strategy, **{f.name: OTHER_VALUES[f.name]})
     for trial in range(3):
         rng = np.random.Generator(np.random.PCG64(trial))
         g = rng.standard_normal(4)
@@ -88,14 +93,13 @@ def test_strategy_fields_are_exactly_what_aggregate_reads(strategy):
                for cid, n, steps in zip("abc", (2, 7, 1), (3, 1, 2))]
         state = ServerState(rng.standard_normal(4), np.abs(rng.standard_normal(4)))
         base_w, base_s = aggregate(AggregatorConfig(strategy), state, pv(g), ups)
-        for field, value in OTHER_VALUES.items():
-            config = AggregatorConfig(strategy, **{field: value})
+        for field in STRATEGY_FIELDS[strategy]:
+            config = AggregatorConfig(strategy, **{field: OTHER_VALUES[field]})
             w, s = aggregate(config, state, pv(g), ups)
             same = (np.array_equal(w.values, base_w.values)
                     and np.array_equal(s.momentum, base_s.momentum)
                     and np.array_equal(s.second_moment, base_s.second_moment))
-            read = field in STRATEGY_FIELDS[strategy] and field != "mu"
-            assert same != read, (field, trial)
+            assert same == (field == "mu"), (field, trial)
 
 
 def test_client_update_validation():
@@ -219,11 +223,14 @@ def test_fedavgm_momentum_recurrence_and_absorbed_eta():
         w = w + momentum
         assert np.max(np.abs(got.values - w)) < 1e-14
         g = got.values
-    # eta is absorbed: a different server_lr changes nothing
+    # eta is absorbed into the momentum step, so a server_lr would change
+    # nothing: its default is accepted and any other value raises
     ups = [update("a", [1.0, 1, 1, 1], n=1)]
     x, _ = run("fedavgm", ups, server_lr=1.0, beta=0.5)
-    y, _ = run("fedavgm", ups, server_lr=0.01, beta=0.5)
-    assert np.array_equal(x.values, y.values)
+    assert np.array_equal(x.values, np.ones(4))
+    with pytest.raises(AggregationError, match="^server_lr 0.01 is not read by "
+                                               "strategy 'fedavgm'"):
+        AggregatorConfig("fedavgm", server_lr=0.01, beta=0.5)
 
 
 def test_fednova_uniform_steps_matches_fedavg():

@@ -153,6 +153,17 @@ def test_run_rejects_invalid_config(tmp_path, capsys):
             "preprocessing": {"window_size": 6, "use_flood_cap": False,
                               "per_client_percentiles": {"bs000": [40.0, 60.0]}}
         }),
+        ("config.aggregator.mu: mu 0.5 is not read by strategy 'fedavg'", {
+            "aggregator": {"strategy": "fedavg", "mu": 0.5}
+        }),
+        # a grid value out of its field's range fails with its cell, before
+        # the first cell trains
+        ("config.grid: grid cell mu=-1: mu must be >= 0", {
+            "grid": {"mu": [0.1, -1.0]}, "aggregator": {"strategy": "fedprox"}
+        }),
+        ("config.grid: grid cell server_lr=0: server_lr must be positive", {
+            "grid": {"server_lr": [0.0]}
+        }),
     ] + [
         # one synthetic day splits 432/144/144 rows, so window 150 leaves no
         # test (or validation) windows in any setting
@@ -228,6 +239,16 @@ def test_full_chain_generate_run_report(tmp_path, capsys):
         (tmp_path / "out" / "base" / "seed-0" / "metrics.json").read_text()
     )
     assert direct["avg_nrmse"] == synthetic["avg_nrmse"]
+
+
+def test_report_labels_individual_curves_by_client(tmp_path, capsys):
+    config = write_config(tmp_path, setting="individual")
+    assert main(["run", "--config", str(config)]) == 0
+    plot = tmp_path / "plot.csv"
+    assert main(["report", "--runs", str(tmp_path / "out"), "--out", str(plot)]) == 0
+    labels = {line.split(",")[4] for line in plot.read_text().split("\n")[1:-1]}
+    assert labels == {"avg_nrmse", "avg_mae", "avg_rmse", "val_mse[bs000]",
+                      "val_mae[bs000]", "val_mse[bs001]", "val_mae[bs001]"}
 
 
 def test_report_rejects_unfinished_dir(tmp_path, capsys):

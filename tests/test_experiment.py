@@ -16,7 +16,6 @@ from fedcast.experiment import (
     DataConfig,
     ExperimentConfig,
     TrainingConfig,
-    _grid_cells,
     config_from_dict,
     config_to_dict,
     emit_plot_data,
@@ -293,13 +292,15 @@ def test_grid_cells_product_and_labels(tmp_path):
         tmp_path, aggregator=AggregatorConfig("fedadam"),
         grid={"server_lr": (0.1, 1.0), "adaptivity": (1e-3,)},
     )
-    cells = _grid_cells(config)
+    cells = config.cells
     assert [label for label, _ in cells] == [
         "adaptivity=0.001_server_lr=0.1",
         "adaptivity=0.001_server_lr=1",
     ]
-    assert cells[0][1] == {"adaptivity": 1e-3, "server_lr": 0.1}
-    assert _grid_cells(tiny_config(tmp_path)) == [("base", {})]
+    assert cells[0][1] == AggregatorConfig("fedadam", server_lr=0.1, adaptivity=1e-3)
+    base = tiny_config(tmp_path)
+    assert base.cells == (("base", base.aggregator),)
+    assert tiny_config(tmp_path, setting="centralized").cells == (("base", None),)
 
 
 def test_materialize_synthetic(tmp_path):

@@ -1,3 +1,4 @@
+import csv
 import zlib
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from fedcast.aggregation import AggregatorConfig
 from fedcast.dataio import ClientWindows, ScalerParams, WindowedDataset
+from fedcast.experiment import _write_rounds_csv
 from fedcast.federation import (
     FederationConfig,
     FederationError,
@@ -204,6 +206,25 @@ def test_aggregate_validation_is_count_weighted():
             record.client_stats[cid].val_mae * n for cid, n in counts.items()
         )
         assert record.agg_val_mae == pytest.approx(mae_num / 16, rel=1e-15)
+
+
+def test_client_without_validation_windows_is_left_out_of_the_score(tmp_path):
+    clients = [client("a"), client("b", n_val=0)]
+    hist = run_federated(SPEC, clients, fed(rounds=2), FEDAVG, seed=3)
+    for record in hist.rounds:
+        a, b = record.client_stats["a"], record.client_stats["b"]
+        assert b.val_mse is None and b.val_mae is None
+        assert b.train_loss is not None and b.local_steps == 3
+        # the round score weighs a's 8 validation windows only
+        assert (record.agg_val_mse, record.agg_val_mae) == (a.val_mse, a.val_mae)
+    _write_rounds_csv(tmp_path / "rounds.csv", hist)
+    with open(tmp_path / "rounds.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    for row in rows:
+        empty = row["client"] == "b"
+        assert (row["val_mse"] == "", row["val_mae"] == "") == (empty, empty)
+        assert row["train_loss"] != ""
 
 
 def test_best_round_is_validation_argmin():

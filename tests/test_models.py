@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fedcast.nn.models import (
     ARCHITECTURES,
+    PREDICT_CHUNK,
     ModelSpec,
-    forward,
+    forward_graph,
     init_model,
+    leaf_tensors,
     layout_for,
     predict,
 )
@@ -102,7 +106,7 @@ def test_zero_params_give_zero_predictions(arch):
     spec = ModelSpec(architecture=arch)
     pv = zeros_like(layout_for(spec))
     x = np.random.Generator(np.random.PCG64(3)).uniform(0, 1, (4, 10, 11))
-    assert np.all(forward(spec, pv, x) == 0.0)
+    assert np.all(predict(spec, pv, x) == 0.0)
 
 
 def test_hand_sized_mlp_matches_pencil_computation():
@@ -117,16 +121,16 @@ def test_hand_sized_mlp_matches_pencil_computation():
     pv.view("out.b")[:] = -1.0
     x = np.array([[[1.5]]])
     # relu(1.5*2 + 0.5) * 3 - 1 = 3.5*3 - 1 = 9.5
-    assert forward(spec, pv, x)[0, 0] == pytest.approx(9.5, abs=1e-12)
+    assert predict(spec, pv, x)[0, 0] == pytest.approx(9.5, abs=1e-12)
     # negative pre-activation goes through the relu: relu(-2*2+0.5) = 0
     x_neg = np.array([[[-2.0]]])
-    assert forward(spec, pv, x_neg)[0, 0] == pytest.approx(-1.0, abs=1e-12)
+    assert predict(spec, pv, x_neg)[0, 0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_cnn_shape_contract():
     spec = ModelSpec(architecture="cnn")
     pv = init_model(spec, 0)
-    out = forward(spec, pv, np.zeros((1, 10, 11)))
+    out = predict(spec, pv, np.zeros((1, 10, 11)))
     assert out.shape == (1, 5)
 
 
@@ -137,8 +141,8 @@ def test_forward_batch_permutation_equivariant(arch):
     rng = np.random.Generator(np.random.PCG64(8))
     x = rng.uniform(0, 1, (6, 10, 11))
     perm = rng.permutation(6)
-    base = forward(spec, pv, x)
-    shuffled = forward(spec, pv, x[perm])
+    base = predict(spec, pv, x)
+    shuffled = predict(spec, pv, x[perm])
     assert np.array_equal(base[perm], shuffled)
 
 
@@ -146,19 +150,42 @@ def test_forward_rejects_bad_shapes():
     spec = ModelSpec(architecture="mlp")
     pv = init_model(spec, 0)
     with pytest.raises(ValueError):
-        forward(spec, pv, np.zeros((4, 9, 11)))
+        predict(spec, pv, np.zeros((4, 9, 11)))
     with pytest.raises(ValueError):
-        forward(spec, pv, np.zeros((4, 10)))
+        predict(spec, pv, np.zeros((4, 10)))
 
 
 def test_predict_chunking_matches_forward():
+    # three chunks, the last a single window, against one unchunked graph
     spec = ModelSpec(architecture="mlp", hidden_sizes=(16,))
     pv = init_model(spec, 1)
-    x = np.random.Generator(np.random.PCG64(2)).uniform(0, 1, (10, 10, 11))
-    chunked = predict(spec, pv, x, chunk_size=3)
+    n = 2 * PREDICT_CHUNK + 1
+    x = np.random.Generator(np.random.PCG64(2)).uniform(0, 1, (n, 10, 11))
+    chunked = predict(spec, pv, x)
+    whole = forward_graph(spec, leaf_tensors(pv), x).data
     # chunked matmuls round differently, so agreement is to precision
-    assert np.allclose(chunked, forward(spec, pv, x), atol=1e-12)
-    assert np.array_equal(chunked, predict(spec, pv, x, chunk_size=3))
+    assert chunked.shape == (n, 5)
+    assert np.max(np.abs(chunked - whole)) <= 1e-12
+    assert np.array_equal(chunked, predict(spec, pv, x))
+
+
+def test_predict_peak_memory_is_bounded_by_the_chunk():
+    # each chunk's graph is freed before the next is built, so four chunks
+    # peak where one does (an unchunked pass would peak about 4x higher)
+    spec = ModelSpec(architecture="lstm")
+    pv = init_model(spec, 0)
+    rng = np.random.Generator(np.random.PCG64(4))
+
+    def traced_peak(n):
+        x = rng.uniform(0, 1, (n, 10, 11))
+        tracemalloc.start()
+        try:
+            predict(spec, pv, x)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(4 * PREDICT_CHUNK) <= 1.1 * traced_peak(PREDICT_CHUNK)
 
 
 def test_model_spec_validation():

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from fedcast.dataio import WindowedDataset
 from fedcast.nn.models import ModelSpec, init_model, layout_for
 from fedcast.nn.params import ParameterVector, zeros_like
 from fedcast.nn.training import (
@@ -228,6 +229,23 @@ def test_early_stopping_returns_best_epoch_params():
     # and the run stopped once the streak hit patience (or used all epochs)
     ran = len(report.val_losses)
     assert ran == 12 or ran == report.best_epoch + 3 + 1
+
+
+def test_early_stopping_stops_before_max_epochs():
+    # training pulls every prediction toward +5 while validation wants -5,
+    # so validation MSE rises after the first epoch: patience 2 stops the
+    # run after its third of 20 epochs and keeps the first epoch's weights
+    train = random_windows(40, seed=14)
+    train = WindowedDataset(train.inputs, np.full_like(train.targets, 5.0))
+    val = WindowedDataset(train.inputs[:10], np.full((10, 5), -5.0))
+    pv = init_model(SMALL, 3)
+    report = train_with_early_stopping(SMALL, pv, train, val, max_epochs=20,
+                                       patience=2, seed=6)
+    assert len(report.train_losses) == len(report.val_losses) == 3
+    assert np.all(np.diff(report.val_losses) > 0)
+    assert report.best_epoch == 0
+    replay = train_local(SMALL, pv, train, epochs=1, seed=6)
+    assert np.array_equal(report.params.values, replay.params.values)
 
 
 def test_early_stopping_accepts_reference_budget():
