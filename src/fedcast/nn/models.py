@@ -158,12 +158,8 @@ def _recurrent(spec, tensors, x):
 
 def _cnn(spec, tensors, x):
     batch = x.shape[0]
-    # One input channel: the window is a (T, d) image.
-    h: Tensor = Tensor(
-        np.ascontiguousarray(
-            x.reshape(batch, 1, spec.window_size, spec.n_features)
-        )
-    )
+    # One input channel: the window is a (T, d) channels-last image.
+    h: Tensor = Tensor(x.reshape(batch, spec.window_size, spec.n_features, 1))
     pad = spec.kernel_size // 2
     for i in range(len(spec.conv_filters)):
         h = eg.relu(

@@ -10,8 +10,7 @@ pure function of the spec: same spec, same bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -24,7 +24,6 @@ from fedcast.dataio import (
     negotiate_global_scaler,
     preprocess_clients,
     save_csv,
-    scale,
     scale_array,
     split_chronological,
     target_scaler,

@@ -96,9 +96,24 @@ def test_spatial_mean_grads():
     check_grads(lambda x: engine.mean_all(engine.square(engine.spatial_mean(x))), [a])
 
 
+def test_spatial_mean_pools_the_channels_last_grid():
+    a = rng(8).standard_normal((2, 3, 4, 5))
+    got = engine.spatial_mean(Tensor(a)).data
+    assert got.shape == (2, 5)
+    assert np.allclose(got, a.mean(axis=(1, 2)), rtol=0, atol=1e-15)
+
+
+def nhwc(x):
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1))
+
+
+def nchw(x):
+    return np.ascontiguousarray(x.transpose(0, 3, 1, 2))
+
+
 def test_conv2d_grads():
     r = rng(9)
-    x = r.standard_normal((2, 3, 5, 4))
+    x = nhwc(r.standard_normal((2, 3, 5, 4)))
     w = r.standard_normal((3 * 3 * 3, 2))
     b = r.standard_normal(2)
     check_grads(
@@ -127,12 +142,94 @@ def conv2d_naive(x, w, b, kernel, padding):
 
 def test_conv2d_forward_matches_naive():
     r = rng(10)
-    x = r.standard_normal((2, 2, 4, 6))
+    x = nhwc(r.standard_normal((2, 2, 4, 6)))
     w = r.standard_normal((2 * 3 * 3, 3))
     b = r.standard_normal(3)
     got = engine.conv2d(Tensor(x), Tensor(w), Tensor(b), kernel=3, padding=1).data
-    want = conv2d_naive(x, w, b, 3, 1)
+    want = nhwc(conv2d_naive(nchw(x), w, b, 3, 1))
     assert np.allclose(got, want, atol=1e-12)
+
+
+def conv2d_nchw_reference(x, w, b, kernel, padding, g):
+    """The channels-first im2col convolution the engine ran before, with its
+    col2im scatter loop: returns the output and the gradients of x, w, b for
+    the output gradient g, all (B, C, H, W)-ordered."""
+    batch, channels, height, width = x.shape
+    padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out_h = height + 2 * padding - kernel + 1
+    out_w = width + 2 * padding - kernel + 1
+    view = np.lib.stride_tricks.sliding_window_view(padded, (kernel, kernel), (2, 3))
+    col = (
+        view.transpose(0, 2, 3, 1, 4, 5)
+        .reshape(batch * out_h * out_w, channels * kernel * kernel)
+        .copy()
+    )
+    out = (col @ w + b).reshape(batch, out_h, out_w, -1).transpose(0, 3, 1, 2)
+    g_mat = g.transpose(0, 2, 3, 1).reshape(batch * out_h * out_w, -1)
+    g_col = (g_mat @ w.T).reshape(batch, out_h, out_w, channels, kernel, kernel)
+    g_padded = np.zeros_like(padded)
+    for ki in range(kernel):
+        for kj in range(kernel):
+            g_padded[:, :, ki : ki + out_h, kj : kj + out_w] += (
+                g_col[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
+            )
+    g_x = g_padded[:, :, padding : padding + height, padding : padding + width]
+    return out, g_x, col.T @ g_mat, g_mat.sum(axis=0)
+
+
+def assert_rel_close(got, want, rel=1e-12):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "batch, height, width, channels, filters, kernel, padding, grad_x",
+    [
+        (3, 5, 4, 2, 3, 1, 0, True),
+        (3, 5, 4, 2, 3, 2, 0, True),
+        (3, 5, 4, 2, 3, 2, 1, True),
+        (3, 5, 4, 2, 3, 3, 1, True),
+        (2, 6, 7, 3, 4, 5, 2, True),
+        (2, 6, 7, 3, 4, 5, 4, True),
+        (4, 10, 11, 1, 16, 3, 1, False),  # first CNN layer: the input is data
+        (128, 10, 11, 32, 32, 3, 1, True),  # widest reference layer
+    ],
+)
+def test_conv2d_matches_nchw_reference(
+    batch, height, width, channels, filters, kernel, padding, grad_x
+):
+    r = rng(11)
+    x = r.standard_normal((batch, height, width, channels))
+    w = r.standard_normal((channels * kernel * kernel, filters))
+    b = r.standard_normal(filters)
+    xt, wt, bt = (Tensor(x, requires_grad=grad_x), Tensor(w, requires_grad=True),
+                  Tensor(b, requires_grad=True))
+    out = engine.conv2d(xt, wt, bt, kernel, padding)
+    g = r.standard_normal(out.data.shape)
+    out._backward(g)
+    want_out, want_gx, want_gw, want_gb = conv2d_nchw_reference(
+        nchw(x), w, b, kernel, padding, nchw(g)
+    )
+    assert_rel_close(out.data, nhwc(want_out))
+    assert_rel_close(wt.grad, want_gw)
+    assert_rel_close(bt.grad, want_gb)
+    if grad_x:
+        assert_rel_close(xt.grad, nhwc(want_gx))
+    else:
+        assert xt.grad is None
+
+
+@pytest.mark.parametrize("padding", [-1, 3])
+def test_conv2d_rejects_padding_outside_the_kernel(padding):
+    x, w, b = np.zeros((1, 4, 4, 2)), np.zeros((2 * 9, 3)), np.zeros(3)
+    with pytest.raises(ValueError, match="padding"):
+        engine.conv2d(Tensor(x), Tensor(w), Tensor(b), kernel=3, padding=padding)
+
+
+def test_conv2d_rejects_weight_rows_that_do_not_match_the_input():
+    x, w, b = np.zeros((1, 4, 4, 2)), np.zeros((3 * 9, 3)), np.zeros(3)
+    with pytest.raises(ValueError, match="27 rows"):
+        engine.conv2d(Tensor(x), Tensor(w), Tensor(b), kernel=3, padding=1)
 
 
 def test_diamond_graph_accumulates():

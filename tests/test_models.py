@@ -135,6 +135,13 @@ def test_cnn_shape_contract():
 
 
 @pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_predict_on_zero_windows_returns_an_empty_batch(arch):
+    spec = ModelSpec(architecture=arch)
+    out = predict(spec, init_model(spec, 0), np.zeros((0, 10, 11)))
+    assert out.shape == (0, 5)
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
 def test_forward_batch_permutation_equivariant(arch):
     spec = ModelSpec(architecture=arch)
     pv = init_model(spec, 5)
@@ -186,6 +193,24 @@ def test_predict_peak_memory_is_bounded_by_the_chunk():
             tracemalloc.stop()
 
     assert traced_peak(4 * PREDICT_CHUNK) <= 1.1 * traced_peak(PREDICT_CHUNK)
+
+
+def test_cnn_predict_peak_memory_is_one_im2col_buffer():
+    # layers run one at a time and predict keeps no graph, so the peak is the
+    # widest layer's im2col buffer plus its padded input and activations
+    spec = ModelSpec(architecture="cnn")
+    pv = init_model(spec, 0)
+    x = np.random.Generator(np.random.PCG64(4)).uniform(0, 1, (PREDICT_CHUNK, 10, 11))
+    widest = max((1,) + spec.conv_filters[:-1])
+    col_bytes = (PREDICT_CHUNK * spec.window_size * spec.n_features
+                 * spec.kernel_size ** 2 * widest * 8)
+    tracemalloc.start()
+    try:
+        predict(spec, pv, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * col_bytes
 
 
 def test_model_spec_validation():
