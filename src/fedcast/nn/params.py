@@ -60,7 +60,7 @@ class Layout:
             pos += spec.size
         return table
 
-    @property
+    @cached_property
     def size(self) -> int:
         return sum(spec.size for spec in self.tensors)
 

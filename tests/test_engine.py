@@ -97,10 +97,12 @@ def test_spatial_mean_grads():
 
 
 def test_spatial_mean_pools_the_channels_last_grid():
-    a = rng(8).standard_normal((2, 3, 4, 5))
-    got = engine.spatial_mean(Tensor(a)).data
-    assert got.shape == (2, 5)
-    assert np.allclose(got, a.mean(axis=(1, 2)), rtol=0, atol=1e-15)
+    # a small grid and the widest reference activation of a predict chunk
+    for shape in [(2, 3, 4, 5), (512, 10, 11, 32)]:
+        a = rng(8).standard_normal(shape)
+        got = engine.spatial_mean(Tensor(a)).data
+        assert got.shape == (shape[0], shape[3])
+        assert_rel_close(got, a.mean(axis=(1, 2)), rel=1e-15)
 
 
 def nhwc(x):
@@ -182,6 +184,11 @@ def assert_rel_close(got, want, rel=1e-12):
     assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
 
 
+BOUNDARY_BATCHES = sorted(
+    {1, engine.CONV_BLOCK - 1, engine.CONV_BLOCK + 1, 2 * engine.CONV_BLOCK + 1} - {0}
+)
+
+
 @pytest.mark.parametrize(
     "batch, height, width, channels, filters, kernel, padding, grad_x",
     [
@@ -193,7 +200,9 @@ def assert_rel_close(got, want, rel=1e-12):
         (2, 6, 7, 3, 4, 5, 4, True),
         (4, 10, 11, 1, 16, 3, 1, False),  # first CNN layer: the input is data
         (128, 10, 11, 32, 32, 3, 1, True),  # widest reference layer
-    ],
+    ]
+    # batches around the block boundaries of the patch GEMMs
+    + [(n, 6, 5, 3, 4, 3, 1, True) for n in BOUNDARY_BATCHES],
 )
 def test_conv2d_matches_nchw_reference(
     batch, height, width, channels, filters, kernel, padding, grad_x
@@ -217,6 +226,24 @@ def test_conv2d_matches_nchw_reference(
         assert_rel_close(xt.grad, nhwc(want_gx))
     else:
         assert xt.grad is None
+
+
+def test_conv2d_reruns_bit_identically():
+    r = rng(12)
+    batch = 2 * engine.CONV_BLOCK + 1
+    x = r.standard_normal((batch, 6, 5, 3))
+    w = r.standard_normal((3 * 3 * 3, 4))
+    b = r.standard_normal(4)
+    g = r.standard_normal((batch, 6, 5, 4))
+
+    def run():
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        out = engine.conv2d(xt, wt, bt, kernel=3, padding=1)
+        out._backward(g)
+        return out.data, xt.grad, wt.grad, bt.grad
+
+    for first, second in zip(run(), run()):
+        assert np.array_equal(first, second)
 
 
 @pytest.mark.parametrize("padding", [-1, 3])
