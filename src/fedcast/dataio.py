@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field, replace
 from datetime import datetime
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -186,14 +187,126 @@ def _check_percentiles(lower: float, upper: float) -> None:
 
 
 def load_csv(path: str | Path) -> TimeSeriesDataset:
-    """Read one client trace.
+    """Read one client trace; the client id is the file stem.
 
-    Expects a header row whose feature columns (everything after the first,
-    timestamp column) equal FEATURES exactly. Unparsable numeric cells
-    become NaN and are handled later by clean_missing. The client id is the
-    file stem.
+    Trace CSV format: a header row whose columns after the first (the
+    timestamp column, any name) equal FEATURES exactly, then one row per
+    observation: a timestamp, then the eleven feature values. save_csv
+    writes timestamps as YYYY-MM-DDTHH:MM:SS; any form that
+    datetime.fromisoformat reads is accepted. Lines end in LF or CRLF, and
+    blank lines are skipped. Cells that are blank or not a number become NaN
+    and are handled later by clean_missing.
+
+    A file in the form save_csv writes is parsed a block of rows at a time,
+    each block's cells in one pass; any other file is read row by row, with
+    the same results and the same errors.
     """
     path = Path(path)
+    block = _read_block(path)
+    timestamps, values = block if block is not None else _read_rows(path)
+    return TimeSeriesDataset(client_id=path.stem, timestamps=timestamps, values=values)
+
+
+# Rows converted per block: bounds the transient str objects of a parse.
+_BLOCK_ROWS = 64
+# Byte form of a canonical timestamp: "0" marks a digit, other bytes are fixed.
+_STAMP_FORM = np.frombuffer(b"0000-00-00T00:00:00", dtype=np.uint8)
+_STAMP_DIGIT = _STAMP_FORM == ord("0")
+_FIRST_STAMP = np.datetime64("0001-01-01T00:00:00", "s")  # datetime's year 1
+
+
+def _read_block(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
+    """(timestamps, values) of a trace parsed a block of rows at a time, or None.
+
+    None means the file holds something this parse does not model: text
+    that does not decode, a quote, a lone CR, a NUL (which csv.reader
+    rejects before Python 3.11), a field longer than csv.field_size_limit(),
+    a header other than FEATURES, a row without N_FEATURES + 1 columns, or a
+    timestamp that is not canonical. _read_rows then reads the file as the
+    csv module does.
+    """
+    stamps: list[str] = []
+    blocks = [np.empty((0, N_FEATURES))]
+    try:
+        with open(path, newline="") as fh:
+            header = _block_lines(fh.readline())
+            if header is None or header[0].split(",")[1:] != list(FEATURES):
+                return None
+            while chunk := list(islice(fh, _BLOCK_ROWS)):
+                lines = _block_lines("".join(chunk))
+                if lines is None:
+                    return None
+                rows = [line for line in lines if line]
+                if set(map(str.count, rows, repeat(","))) - {N_FEATURES}:
+                    return None
+                if not rows:
+                    continue
+                cells = ",".join(rows).split(",")
+                stamps += cells[:: N_FEATURES + 1]
+                del cells[:: N_FEATURES + 1]
+                blocks.append(_block_values(cells))
+    except UnicodeDecodeError:
+        return None
+    timestamps = _canonical_timestamps(stamps)
+    if timestamps is None:
+        return None
+    return timestamps, np.concatenate(blocks)
+
+
+def _block_lines(text: str) -> list[str] | None:
+    """text split at its LF or CRLF line endings, or None."""
+    text = text.replace("\r\n", "\n")
+    if '"' in text or "\r" in text or "\x00" in text:
+        return None
+    lines = text.split("\n")
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    return lines
+
+
+def _block_values(cells: list[str]) -> np.ndarray:
+    """(rows, N_FEATURES) values of a block's numeric cells."""
+    try:
+        # float(cell) equals _parse_cell(cell) wherever it does not raise
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:
+        values = np.array([
+            _parse_row(cells[i : i + N_FEATURES])
+            for i in range(0, len(cells), N_FEATURES)
+        ])
+    return values.reshape(-1, N_FEATURES)
+
+
+def _canonical_timestamps(stamps: list[str]) -> np.ndarray | None:
+    """stamps as datetime64[s] if each is an ASCII YYYY-MM-DDTHH:MM:SS that
+    np.datetime_as_string writes back unchanged, else None.
+
+    The byte form keeps zone designators, which np.datetime64 parses with a
+    warning, away from the parser; year 0 parses but datetime rejects it.
+    """
+    if set(map(len, stamps)) - {len(_STAMP_FORM)} or not "".join(stamps).isascii():
+        return None
+    form = np.array(stamps, dtype=np.bytes_).view(np.uint8)
+    form = form.reshape(-1, len(_STAMP_FORM))
+    digits = form[:, _STAMP_DIGIT]
+    if not (
+        (form[:, ~_STAMP_DIGIT] == _STAMP_FORM[~_STAMP_DIGIT]).all()
+        and ((digits >= ord("0")) & (digits <= ord("9"))).all()
+    ):
+        return None
+    try:
+        timestamps = np.array(stamps, dtype="datetime64[s]")
+    except ValueError:  # a month, day, hour, minute or second out of range
+        return None
+    if not (timestamps >= _FIRST_STAMP).all():
+        return None
+    if np.datetime_as_string(timestamps, unit="s").tolist() != stamps:
+        return None
+    return timestamps
+
+
+def _read_rows(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """(timestamps, values) of a trace read row by row with csv.reader."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -230,8 +343,14 @@ def load_csv(path: str | Path) -> TimeSeriesDataset:
         if rows
         else np.empty((0, N_FEATURES), dtype=np.float64)
     )
-    timestamps = np.array(stamps, dtype="datetime64[s]")
-    return TimeSeriesDataset(client_id=path.stem, timestamps=timestamps, values=values)
+    return np.array(stamps, dtype="datetime64[s]"), values
+
+
+def _parse_row(cells: list[str]) -> list[float]:
+    try:
+        return list(map(float, cells))
+    except ValueError:
+        return [_parse_cell(cell) for cell in cells]
 
 
 def _parse_cell(cell: str) -> float:

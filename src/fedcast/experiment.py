@@ -15,11 +15,13 @@ deterministic: same config, same files.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import functools
 import itertools
 import json
+import os
 import sys
 import typing
 from collections.abc import Mapping
@@ -126,6 +128,17 @@ class ExperimentConfig:
                 raise ValueError(
                     "federated setting requires federation and aggregator sections"
                 )
+            if self.training != ExperimentConfig.training:
+                raise ValueError(
+                    "training budget applies to the individual and centralized "
+                    "settings only"
+                )
+        else:
+            for section in ("federation", "aggregator"):
+                if getattr(self, section) is not None:
+                    raise ValueError(
+                        f"{section} applies to the federated setting only"
+                    )
         # CSV and synthetic data always have the fixed 11-feature, 5-target
         # schema, windowed at preprocessing.window_size.
         data_shape = (self.preprocessing.window_size, N_FEATURES, N_TARGETS)
@@ -169,6 +182,12 @@ class ExperimentConfig:
             raise ValueError("fine_tune applies to shared-model settings only")
         if self.fine_tune_epochs < 0:
             raise ValueError("fine_tune_epochs must be >= 0")
+        unread_epochs = self.fine_tune_epochs != ExperimentConfig.fine_tune_epochs
+        if not self.fine_tune and unread_epochs:
+            raise ValueError(
+                f"fine_tune_epochs {self.fine_tune_epochs} has no effect with "
+                f"fine_tune false"
+            )
 
 
 def _decode(annotation, value, path: str):
@@ -325,8 +344,26 @@ def _score_params(
     return out
 
 
+@contextlib.contextmanager
+def _atomic_open(path: Path, mode: str = "w", **kwargs):
+    """open(path, mode) that replaces path only once the block completes.
+
+    The content goes to a temporary file in the same directory, which
+    os.replace then moves over path. A block that raises leaves path as it
+    was and removes the temporary file.
+    """
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_rounds_csv(path: Path, history: FederationHistory) -> None:
-    with open(path, "w", newline="") as fh:
+    with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["round", "client", "sampled", "train_loss", "val_mse", "val_mae",
@@ -354,7 +391,7 @@ def _write_rounds_csv(path: Path, history: FederationHistory) -> None:
 
 
 def _write_epochs_csv(path: Path, reports: Mapping[str, TrainReport]) -> None:
-    with open(path, "w", newline="") as fh:
+    with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["client", "epoch", "train_loss", "val_mse", "val_mae"])
         for cid in sorted(reports):
@@ -374,7 +411,7 @@ def _fmt(value) -> str:
 
 
 def _json_dump(path: Path, payload) -> None:
-    with open(path, "w") as fh:
+    with _atomic_open(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -471,7 +508,8 @@ def _run_once(
         models = {cw.client_id: shared for cw in clients}
         checkpoints = {"checkpoint.bin": shared}
     for name, params in checkpoints.items():
-        (run_dir / name).write_bytes(serialize_params(params))
+        with _atomic_open(run_dir / name, "wb") as fh:
+            fh.write(serialize_params(params))
 
     per_client = _score_params(spec, lambda cw: models[cw.client_id], clients)
     fine_tuned: dict[str, MetricReport] = {}
@@ -556,7 +594,7 @@ def emit_plot_data(run_dirs: Sequence[str | Path], out_path: str | Path) -> int:
             elif epochs_csv.exists():
                 rows.extend(_curve_rows(name, cell, seed, epochs_csv,
                                         "epoch", ("val_mse", "val_mae")))
-    with open(out_path, "w", newline="") as fh:
+    with _atomic_open(Path(out_path), newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["experiment", "cell", "seed", "round", "metric", "value"])
         writer.writerows(rows)

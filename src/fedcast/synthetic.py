@@ -48,6 +48,18 @@ class SyntheticClientSpec:
             raise ValueError(f"{self.client_id}: base_level must be positive")
         if not (0.0 <= self.spike_probability < 1.0):
             raise ValueError(f"{self.client_id}: spike_probability in [0, 1)")
+        if not self.spike_magnitude >= 1.0:
+            # a spike multiplies a row by a factor drawn from [1, magnitude)
+            raise ValueError(
+                f"spike_magnitude must be >= 1, got {self.spike_magnitude} "
+                f"({self.client_id})"
+            )
+        if (self.spike_probability == 0.0
+                and self.spike_magnitude != SyntheticClientSpec.spike_magnitude):
+            raise ValueError(
+                f"spike_magnitude {self.spike_magnitude} has no effect with "
+                f"spike_probability 0 ({self.client_id})"
+            )
         if self.noise_scale < 0:
             raise ValueError(f"{self.client_id}: noise_scale must be >= 0")
 

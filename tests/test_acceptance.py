@@ -51,12 +51,14 @@ def three_station_cohort(seed, spike_probability=0.01):
     """Three near-homogeneous stations with staggered daily phases."""
     levels = (1.0, 1.1, 0.9)
     phases = (0.0, 2.1, 4.2)
+    # a magnitude without spikes has no effect, and the spec rejects it
+    spikes = (dict(spike_probability=spike_probability, spike_magnitude=20.0)
+              if spike_probability else {})
     clients = tuple(
         SyntheticClientSpec(
             client_id=f"bs{i}", days=2, base_level=levels[i],
             daily_amplitude=0.4, weekly_amplitude=0.1, noise_scale=0.05,
-            spike_probability=spike_probability, spike_magnitude=20.0,
-            phase=phases[i],
+            phase=phases[i], **spikes,
         )
         for i in range(3)
     )

@@ -25,11 +25,12 @@ def write_config(tmp_path, setting="federated", **overrides):
         },
         "preprocessing": {"window_size": 6},
         "model": {"architecture": "mlp", "window_size": 6, "hidden_sizes": [16]},
-        "training": {"max_epochs": 2, "patience": 2},
     }
     if setting == "federated":
         raw["federation"] = {"rounds": 2, "local_epochs": 1}
         raw["aggregator"] = {"strategy": "fedavg"}
+    else:
+        raw["training"] = {"max_epochs": 2, "patience": 2}
     raw.update(overrides)
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(raw))
@@ -163,6 +164,23 @@ def test_run_rejects_invalid_config(tmp_path, capsys):
         ("config.grid: grid cell server_lr=0: server_lr must be positive", {
             "grid": {"server_lr": [0.0]}
         }),
+        # a section or value that the setting never reads
+        ("config.federation: federation applies to the federated setting only", {
+            "setting": "centralized", "federation": {"rounds": 2, "local_epochs": 1}
+        }),
+        ("config.aggregator: aggregator applies to the federated setting only", {
+            "setting": "individual", "aggregator": {"strategy": "fedavg"}
+        }),
+        ("config.training: training budget applies to the individual", {
+            "training": {"max_epochs": 5}
+        }),
+        ("config.fine_tune_epochs: fine_tune_epochs 7 has no effect", {
+            "fine_tune_epochs": 7
+        }),
+        ("config.data.synthetic.clients[0].spike_magnitude: spike_magnitude 3.0 "
+         "has no effect with spike_probability 0", client(spike_magnitude=3.0)),
+        ("config.data.synthetic.clients[0].spike_magnitude: spike_magnitude must "
+         "be >= 1", client(spike_probability=0.1, spike_magnitude=-5.0)),
     ] + [
         # one synthetic day splits 432/144/144 rows, so window 150 leaves no
         # test (or validation) windows in any setting

@@ -9,6 +9,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedcast import experiment
 from fedcast.aggregation import AggregatorConfig
 from fedcast.dataio import DataError, PreprocessConfig, save_csv
 from fedcast.experiment import (
@@ -50,11 +51,12 @@ def tiny_config(tmp_path, setting="federated", **kw):
         data=DataConfig(synthetic=tiny_cohort()),
         preprocessing=PreprocessConfig(window_size=6),
         model=ModelSpec(architecture="mlp", window_size=6, hidden_sizes=(16,)),
-        training=TrainingConfig(max_epochs=2, patience=2),
     )
     if setting == "federated":
         base["federation"] = FederationConfig(rounds=2, local_epochs=1)
         base["aggregator"] = AggregatorConfig("fedavg")
+    else:
+        base["training"] = TrainingConfig(max_epochs=2, patience=2)
     base.update(kw)
     return ExperimentConfig(**base)
 
@@ -158,6 +160,27 @@ def test_config_from_dict_input_errors(tmp_path):
         config_from_dict(raw)
 
 
+def test_unread_knobs_are_accepted_at_their_defaults(tmp_path):
+    # config_to_dict writes every default into a manifest, so a default
+    # counts as unset even where the setting never reads it
+    raw = config_to_dict(tiny_config(tmp_path))
+    assert raw["training"] == {"max_epochs": 270, "patience": 50}
+    assert raw["fine_tune"] is False and raw["fine_tune_epochs"] == 3
+    raw["data"]["synthetic"]["clients"][0].update(
+        spike_probability=0.0, spike_magnitude=10.0
+    )
+    assert config_to_dict(config_from_dict(raw)) == raw
+    raw["data"]["synthetic"]["clients"][0]["spike_magnitude"] = 1.0
+    with pytest.raises(ConfigError, match=r"clients\[0\]\.spike_magnitude"):
+        config_from_dict(raw)
+    central = config_to_dict(tiny_config(tmp_path, setting="centralized"))
+    assert "federation" not in central and "aggregator" not in central
+    for section, value in (("federation", {"rounds": 0, "local_epochs": 0}),
+                           ("aggregator", {"strategy": "fedavg"})):
+        with pytest.raises(ConfigError, match=f"^config.{section}: "):
+            config_from_dict({**central, section: value})
+
+
 def test_config_without_preprocessing_uses_defaults(tmp_path):
     raw = config_to_dict(tiny_config(tmp_path))
     del raw["preprocessing"]
@@ -187,6 +210,7 @@ def test_config_without_preprocessing_uses_defaults(tmp_path):
     ("aggregator.mu", -1.0),
     ("aggregator.beta", 1.0),
     ("aggregator.adaptivity", 0.0),
+    ("fine_tune_epochs", 7),
 ])
 def test_value_rule_reported_at_field_path(tmp_path, path, value):
     raw = config_to_dict(tiny_config(tmp_path))
@@ -501,6 +525,21 @@ def test_emit_plot_data_centralized(tmp_path):
     epochs = [r for r in rows if r[4] == "val_mse"]
     assert len(epochs) >= 1
     assert epochs[0][3] == "0"
+
+
+def test_artifact_write_that_fails_midway_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "metrics.json"
+    experiment._json_dump(path, {"a": 1.0})
+    before = path.read_bytes()
+    # json.dump streams: the key is written before the value fails to encode
+    with pytest.raises(TypeError):
+        experiment._json_dump(path, {"a": 2.0, "b": object()})
+    assert path.read_bytes() == before
+    with pytest.raises(RuntimeError):
+        with experiment._atomic_open(tmp_path / "checkpoint.bin", "wb") as fh:
+            fh.write(b"partial")
+            raise RuntimeError("interrupted")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.json"]
 
 
 def test_emit_plot_data_requires_summary(tmp_path):
