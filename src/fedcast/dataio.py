@@ -14,9 +14,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field, replace
 from datetime import datetime
-from itertools import islice, repeat
+from itertools import chain, islice
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -197,160 +197,103 @@ def load_csv(path: str | Path) -> TimeSeriesDataset:
     blank lines are skipped. Cells that are blank or not a number become NaN
     and are handled later by clean_missing.
 
-    A file in the form save_csv writes is parsed a block of rows at a time,
-    each block's cells in one pass; any other file is read row by row, with
-    the same results and the same errors.
+    The file is read once by the csv module, _BLOCK_ROWS records at a time.
+    Each block's rows are checked in order, so the first bad row raises
+    SchemaError with its line number, and then its cells are converted in
+    one pass. Text that does not decode, or a field longer than
+    csv.field_size_limit(), raises SchemaError once the rows before it have
+    been checked.
     """
     path = Path(path)
-    block = _read_block(path)
-    timestamps, values = block if block is not None else _read_rows(path)
-    return TimeSeriesDataset(client_id=path.stem, timestamps=timestamps, values=values)
+    failure: list[Exception] = []
+    stamps: list[str] = []
+    blocks = [np.empty((0, N_FEATURES))]
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        records = _until_error(reader, failure)
+        header = next(records, None)
+        if header is None:
+            _raise_read_error(path, reader, failure)
+            raise SchemaError(f"{path}: empty file, expected a header row")
+        if tuple(header[1:]) != FEATURES:
+            raise SchemaError(
+                f"{path}: feature columns {header[1:]} do not match the "
+                f"expected schema {list(FEATURES)}"
+            )
+        numbered = enumerate(records, start=2)
+        while chunk := list(islice(numbered, _BLOCK_ROWS)):
+            for lineno, row in chunk:
+                if row:
+                    _check_row(path, lineno, row)
+            cells = list(chain.from_iterable(row for _, row in chunk))
+            stamps += cells[:: N_FEATURES + 1]
+            del cells[:: N_FEATURES + 1]
+            try:
+                # float(cell) equals _parse_cell(cell) wherever it does not raise
+                values = np.fromiter(map(float, cells), np.float64, len(cells))
+            except ValueError:
+                values = np.fromiter(map(_parse_cell, cells), np.float64, len(cells))
+            blocks.append(values.reshape(-1, N_FEATURES))
+        _raise_read_error(path, reader, failure)
+    return TimeSeriesDataset(
+        client_id=path.stem,
+        timestamps=_datetime64(stamps),
+        values=np.concatenate(blocks),
+    )
 
 
 # Rows converted per block: bounds the transient str objects of a parse.
 _BLOCK_ROWS = 64
-# Byte form of a canonical timestamp: "0" marks a digit, other bytes are fixed.
-_STAMP_FORM = np.frombuffer(b"0000-00-00T00:00:00", dtype=np.uint8)
-_STAMP_DIGIT = _STAMP_FORM == ord("0")
-_FIRST_STAMP = np.datetime64("0001-01-01T00:00:00", "s")  # datetime's year 1
 
 
-def _read_block(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
-    """(timestamps, values) of a trace parsed a block of rows at a time, or None.
-
-    None means the file holds something this parse does not model: text
-    that does not decode, a quote, a lone CR, a NUL (which csv.reader
-    rejects before Python 3.11), a field longer than csv.field_size_limit(),
-    a header other than FEATURES, a row without N_FEATURES + 1 columns, or a
-    timestamp that is not canonical. _read_rows then reads the file as the
-    csv module does.
-    """
-    stamps: list[str] = []
-    blocks = [np.empty((0, N_FEATURES))]
+def _until_error(
+    reader: Iterator[list[str]], failure: list[Exception]
+) -> Iterator[list[str]]:
+    """reader's records up to its first read error, which is kept in failure."""
     try:
-        with open(path, newline="") as fh:
-            header = _block_lines(fh.readline())
-            if header is None or header[0].split(",")[1:] != list(FEATURES):
-                return None
-            while chunk := list(islice(fh, _BLOCK_ROWS)):
-                lines = _block_lines("".join(chunk))
-                if lines is None:
-                    return None
-                rows = [line for line in lines if line]
-                if set(map(str.count, rows, repeat(","))) - {N_FEATURES}:
-                    return None
-                if not rows:
-                    continue
-                cells = ",".join(rows).split(",")
-                stamps += cells[:: N_FEATURES + 1]
-                del cells[:: N_FEATURES + 1]
-                blocks.append(_block_values(cells))
-    except UnicodeDecodeError:
-        return None
-    timestamps = _canonical_timestamps(stamps)
-    if timestamps is None:
-        return None
-    return timestamps, np.concatenate(blocks)
+        yield from reader
+    except (UnicodeDecodeError, csv.Error) as exc:
+        failure.append(exc)
 
 
-def _block_lines(text: str) -> list[str] | None:
-    """text split at its LF or CRLF line endings, or None."""
-    text = text.replace("\r\n", "\n")
-    if '"' in text or "\r" in text or "\x00" in text:
-        return None
-    lines = text.split("\n")
-    if max(map(len, lines)) > csv.field_size_limit():
-        return None
-    return lines
-
-
-def _block_values(cells: list[str]) -> np.ndarray:
-    """(rows, N_FEATURES) values of a block's numeric cells."""
-    try:
-        # float(cell) equals _parse_cell(cell) wherever it does not raise
-        values = np.fromiter(map(float, cells), np.float64, len(cells))
-    except ValueError:
-        values = np.array([
-            _parse_row(cells[i : i + N_FEATURES])
-            for i in range(0, len(cells), N_FEATURES)
-        ])
-    return values.reshape(-1, N_FEATURES)
-
-
-def _canonical_timestamps(stamps: list[str]) -> np.ndarray | None:
-    """stamps as datetime64[s] if each is an ASCII YYYY-MM-DDTHH:MM:SS that
-    np.datetime_as_string writes back unchanged, else None.
-
-    The byte form keeps zone designators, which np.datetime64 parses with a
-    warning, away from the parser; year 0 parses but datetime rejects it.
-    """
-    if set(map(len, stamps)) - {len(_STAMP_FORM)} or not "".join(stamps).isascii():
-        return None
-    form = np.array(stamps, dtype=np.bytes_).view(np.uint8)
-    form = form.reshape(-1, len(_STAMP_FORM))
-    digits = form[:, _STAMP_DIGIT]
-    if not (
-        (form[:, ~_STAMP_DIGIT] == _STAMP_FORM[~_STAMP_DIGIT]).all()
-        and ((digits >= ord("0")) & (digits <= ord("9"))).all()
-    ):
-        return None
-    try:
-        timestamps = np.array(stamps, dtype="datetime64[s]")
-    except ValueError:  # a month, day, hour, minute or second out of range
-        return None
-    if not (timestamps >= _FIRST_STAMP).all():
-        return None
-    if np.datetime_as_string(timestamps, unit="s").tolist() != stamps:
-        return None
-    return timestamps
-
-
-def _read_rows(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """(timestamps, values) of a trace read row by row with csv.reader."""
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise SchemaError(f"{path}: empty file, expected a header row")
-            if tuple(header[1:]) != FEATURES:
-                raise SchemaError(
-                    f"{path}: feature columns {header[1:]} do not match the "
-                    f"expected schema {list(FEATURES)}"
-                )
-            stamps: list[datetime] = []
-            rows: list[list[float]] = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != N_FEATURES + 1:
-                    raise SchemaError(
-                        f"{path}:{lineno}: expected {N_FEATURES + 1} columns, "
-                        f"got {len(row)}"
-                    )
-                try:
-                    stamps.append(datetime.fromisoformat(row[0]))
-                except ValueError as exc:
-                    raise SchemaError(
-                        f"{path}:{lineno}: bad timestamp {row[0]!r}"
-                    ) from exc
-                rows.append([_parse_cell(cell) for cell in row[1:]])
-    except UnicodeDecodeError as exc:
+def _raise_read_error(path: Path, reader, failure: list[Exception]) -> None:
+    """SchemaError for the read error that ended reader's records, if any."""
+    if not failure:
+        return
+    exc = failure[0]
+    if isinstance(exc, UnicodeDecodeError):
         raise SchemaError(f"{path}: not a text file: {exc}") from exc
-    values = (
-        np.array(rows, dtype=np.float64)
-        if rows
-        else np.empty((0, N_FEATURES), dtype=np.float64)
-    )
-    return np.array(stamps, dtype="datetime64[s]"), values
+    raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
-def _parse_row(cells: list[str]) -> list[float]:
+def _check_row(path: Path, lineno: int, row: list[str]) -> None:
+    """SchemaError unless row is a timestamp and N_FEATURES cells."""
+    if len(row) != N_FEATURES + 1:
+        raise SchemaError(
+            f"{path}:{lineno}: expected {N_FEATURES + 1} columns, got {len(row)}"
+        )
     try:
-        return list(map(float, cells))
-    except ValueError:
-        return [_parse_cell(cell) for cell in cells]
+        datetime.fromisoformat(row[0])
+    except ValueError as exc:
+        raise SchemaError(f"{path}:{lineno}: bad timestamp {row[0]!r}") from exc
+
+
+def _datetime64(stamps: list[str]) -> np.ndarray:
+    """Stamps that datetime.fromisoformat reads, as datetime64[s].
+
+    Stamps with save_csv's separators are cast as strings in one call, and
+    the cast is kept if it writes them back unchanged. Any other form, such
+    as one with a zone designator (which np.datetime64 warns about), is
+    converted from the datetimes that fromisoformat reads.
+    """
+    if {(len(s), s[4:17:3]) for s in stamps} <= {(19, "--T::")}:
+        try:
+            timestamps = np.array(stamps, dtype="datetime64[s]")
+            if np.datetime_as_string(timestamps, unit="s").tolist() == stamps:
+                return timestamps
+        except ValueError:  # a stamp that datetime reads and NumPy does not
+            pass
+    return np.array(list(map(datetime.fromisoformat, stamps)), dtype="datetime64[s]")
 
 
 def _parse_cell(cell: str) -> float:

@@ -180,8 +180,9 @@ class ExperimentConfig:
         object.__setattr__(self, "cells", tuple(cells.items()))
         if self.fine_tune and self.setting == "individual":
             raise ValueError("fine_tune applies to shared-model settings only")
-        if self.fine_tune_epochs < 0:
-            raise ValueError("fine_tune_epochs must be >= 0")
+        # fine_tune true needs an epoch to run; fine_tune false needs the default
+        if self.fine_tune_epochs < 1:
+            raise ValueError("fine_tune_epochs must be >= 1")
         unread_epochs = self.fine_tune_epochs != ExperimentConfig.fine_tune_epochs
         if not self.fine_tune and unread_epochs:
             raise ValueError(

@@ -121,9 +121,7 @@ def sample_clients(
     count = clients_per_round(n, fraction)
     if count >= n:
         return list(client_ids)
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([seed, round_index, 1]))
-    )
+    rng = np.random.default_rng([seed, round_index, 1])
     chosen = rng.choice(n, size=count, replace=False)
     return [client_ids[i] for i in sorted(chosen)]
 

@@ -104,7 +104,7 @@ def layout_for(spec: ModelSpec) -> Layout:
 def init_model(spec: ModelSpec, seed: int) -> ParameterVector:
     """Deterministic init: one PCG64 stream, tensors drawn in layout order."""
     layout = layout_for(spec)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     values = np.zeros(layout.size, dtype=np.float64)
     pv = ParameterVector(values, layout)
     for tensor in layout.tensors:

@@ -147,7 +147,7 @@ class EarlyStopper:
 
 
 def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, epoch])))
+    return np.random.default_rng([seed, epoch])
 
 
 def _run_epoch(

@@ -91,7 +91,7 @@ class SyntheticSpec:
         lo, hi = day_range
         if not (1 <= lo <= hi):
             raise ValueError("day_range must satisfy 1 <= lo <= hi")
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0])))
+        rng = np.random.default_rng([seed, 0])
         clients = []
         for i in range(n_clients):
             clients.append(
@@ -117,7 +117,7 @@ class SyntheticSpec:
 
 def generate_client(spec: SyntheticClientSpec, seed: int, index: int) -> TimeSeriesDataset:
     """One client's trace; the stream is SeedSequence([seed, index])."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, index])))
+    rng = np.random.default_rng([seed, index])
     n = spec.days * OBSERVATIONS_PER_DAY
     t = np.arange(n, dtype=np.float64)
     daily = np.sin(2.0 * np.pi * t / OBSERVATIONS_PER_DAY + spec.phase)

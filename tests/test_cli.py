@@ -4,7 +4,7 @@ import pytest
 import yaml
 
 from fedcast.cli import main
-from fedcast.dataio import load_csv
+from fedcast.dataio import FEATURES, load_csv
 
 
 def write_config(tmp_path, setting="federated", **overrides):
@@ -177,6 +177,9 @@ def test_run_rejects_invalid_config(tmp_path, capsys):
         ("config.fine_tune_epochs: fine_tune_epochs 7 has no effect", {
             "fine_tune_epochs": 7
         }),
+        ("config.fine_tune_epochs: fine_tune_epochs must be >= 1", {
+            "fine_tune": True, "fine_tune_epochs": 0
+        }),
         ("config.data.synthetic.clients[0].spike_magnitude: spike_magnitude 3.0 "
          "has no effect with spike_probability 0", client(spike_magnitude=3.0)),
         ("config.data.synthetic.clients[0].spike_magnitude: spike_magnitude must "
@@ -205,13 +208,19 @@ def test_run_rejects_invalid_config(tmp_path, capsys):
         assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("kind", ["directory", "missing", "not-utf8"])
+@pytest.mark.parametrize(
+    "kind", ["directory", "missing", "not-utf8", "over-limit-field"]
+)
 def test_run_rejects_unreadable_data_path(tmp_path, capsys, kind):
     path = tmp_path / "bs000.csv"
     if kind == "directory":
         path.mkdir()
     elif kind == "not-utf8":
         path.write_bytes(b"time,\xff\xfe\n")
+    elif kind == "over-limit-field":  # longer than csv.field_size_limit()
+        cells = ["1" * 140_000] + ["1"] * (len(FEATURES) - 1)
+        path.write_text(",".join(("time",) + FEATURES) + "\n2018-01-01T00:00:00,"
+                        + ",".join(cells) + "\n")
     config = write_config(tmp_path, setting="centralized", data={"paths": [str(path)]})
     out_dir = tmp_path / "never"
     assert main(["run", "--config", str(config), "--output-dir", str(out_dir)]) == 2

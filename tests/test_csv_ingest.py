@@ -1,14 +1,17 @@
-"""load_csv's block parse against the row-by-row reader it replaced.
+"""load_csv against the row-by-row reader it must match.
 
-`oracle_load_csv` is load_csv as it was before the block parse: csv.reader,
-datetime.fromisoformat and _parse_cell on every row. Every drawn file must
-give the same exception type and message under both, or bit-equal values,
-equal timestamps and the same client id.
+`oracle_load_csv` is load_csv as it was before cells and timestamps were
+converted a block of rows at a time: csv.reader, datetime.fromisoformat and
+_parse_cell on every row, with a csv.Error (a field over
+csv.field_size_limit(), or a NUL before Python 3.11) reported as the
+SchemaError that load_csv raises for it. Every file must give the same
+exception type and message under both, or bit-equal values, equal
+timestamps and the same client id.
 """
 
 import csv
 import warnings
-from datetime import datetime
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +71,8 @@ def oracle_load_csv(path: str | Path) -> TimeSeriesDataset:
                 rows.append([oracle_parse_cell(cell) for cell in row[1:]])
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not a text file: {exc}") from exc
+    except csv.Error as exc:
+        raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
     values = (
         np.array(rows, dtype=np.float64)
         if rows
@@ -194,7 +199,7 @@ def trace_files(draw):
     return data
 
 
-# an offset timestamp reaches np.datetime64 through both readers' row path
+# an offset timestamp reaches np.datetime64 as a datetime in both readers
 @pytest.mark.filterwarnings("ignore:no explicit representation of timezones")
 @settings(
     deadline=None, max_examples=400,
@@ -208,7 +213,7 @@ def test_block_parse_matches_row_reader(tmp_path, monkeypatch, data, block_rows)
     assert outcome(load_csv, path) == outcome(oracle_load_csv, path)
 
 
-def test_written_trace_never_reaches_the_row_reader(tmp_path, monkeypatch):
+def test_written_trace_reads_back_bit_exact(tmp_path):
     ds = random_dataset(150, seed=5, client_id="bs007")  # three blocks of rows
     values = ds.values.copy()
     values[3, 2] = np.nan
@@ -219,20 +224,17 @@ def test_written_trace_never_reaches_the_row_reader(tmp_path, monkeypatch):
     save_csv(ds, path)
     with open(path, "a", newline="") as fh:
         fh.write("\r\n")  # a trailing blank line
-    expected = outcome(oracle_load_csv, path)
-
-    def no_row_reader(path):
-        raise AssertionError("fell back to the row reader")
-
-    monkeypatch.setattr(dataio, "_read_rows", no_row_reader)
-    assert outcome(load_csv, path) == expected
-    assert np.array_equal(load_csv(path).values, values, equal_nan=True)
+    assert outcome(load_csv, path) == outcome(oracle_load_csv, path)
+    loaded = load_csv(path)
+    assert np.array_equal(loaded.values, values, equal_nan=True)
+    assert np.array_equal(loaded.timestamps, ds.timestamps)
 
 
 HEADER = "t," + ",".join(FEATURES) + "\n"
 ONES = ",1" * N_FEATURES
 
 
+# Files outside save_csv's form: each must read as the row reader reads it.
 @pytest.mark.parametrize("text", [
     "time,a,b\n",
     HEADER + '"2018-01-01T00:00:00"' + ONES,
@@ -245,22 +247,89 @@ ONES = ",1" * N_FEATURES
     HEADER + "2018-01-01T00:00:00," + "1" * 140_000 + ONES[2:],
 ], ids=["header", "quoted-stamp", "lone-cr", "space-separated", "quoted-cell",
         "cr-in-row", "space-in-year", "year-zero", "field-over-csv-limit"])
-def test_unmodelled_files_go_to_the_row_reader(tmp_path, monkeypatch, text):
+def test_unmodelled_files_go_to_the_row_reader(tmp_path, text):
     path = tmp_path / "c.csv"
     path.write_text(text)
-    calls = []
-    read_rows = dataio._read_rows
-    monkeypatch.setattr(dataio, "_read_rows", lambda p: calls.append(p) or read_rows(p))
     assert outcome(load_csv, path) == outcome(oracle_load_csv, path)
-    assert calls == [path]
+
+
+def test_file_outside_the_written_form_reads_to_its_values(tmp_path):
+    # a quoted, space-separated stamp, a quoted cell, a cell that is not a
+    # number, a blank line and a stamp with a zone designator
+    path = tmp_path / "c.csv"
+    path.write_text(HEADER + '"2018-01-01 00:00:00","2.5",x' + ONES[4:] + "\n\r\n"
+                    + "2018-01-01T00:02:00+00:00" + ONES)
+    with pytest.warns(UserWarning, match="no explicit representation of timezones"):
+        ds = load_csv(path)
+    assert ds.timestamps.tolist() == [
+        datetime(2018, 1, 1, 0, 0), datetime(2018, 1, 1, 0, 2)
+    ]
+    assert ds.values[0, 0] == 2.5 and np.isnan(ds.values[0, 1])
+    assert (ds.values[0, 2:] == 1.0).all() and (ds.values[1] == 1.0).all()
 
 
 @pytest.mark.parametrize("stamp", ["2018-01-01T00:00+01", "2018-01-01T00:00:00Z"])
 def test_block_pass_rejects_zone_designators_without_a_warning(tmp_path, stamp):
-    # np.datetime64 parses a zone designator with a UserWarning; the block
-    # pass must leave such a stamp to the row reader without parsing it
+    # np.datetime64 parses a zone designator from a string with a warning of
+    # its own; load_csv must give exactly the oracle's warnings, which come
+    # from converting the zone-aware datetime
     path = tmp_path / "c.csv"
     path.write_text(HEADER + stamp + ONES)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert dataio._read_block(path) is None
+    caught = []
+    for load in (load_csv, oracle_load_csv):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            load(path)
+        caught.append([(w.category, str(w.message)) for w in seen])
+    assert caught[0] == caught[1] and len(caught[0]) == 1
+
+
+def test_stamp_that_numpy_cannot_cast_is_converted_from_its_datetime(
+    tmp_path, monkeypatch
+):
+    class Lenient(datetime):  # also reads 24:00:00, as the next midnight
+        @classmethod
+        def fromisoformat(cls, text):
+            if text.endswith("T24:00:00"):
+                return datetime.fromisoformat(text[:10]) + timedelta(days=1)
+            return datetime.fromisoformat(text)
+
+    monkeypatch.setattr(dataio, "datetime", Lenient)
+    path = tmp_path / "c.csv"
+    path.write_text(HEADER + "2018-01-01T24:00:00" + ONES)
+    assert load_csv(path).timestamps.tolist() == [datetime(2018, 1, 2)]
+
+
+def ordering_file(first: str, second: str, gap: int) -> bytes:
+    """A trace with defect `first` on row 2 and defect `second` after `gap`
+    good rows, so the two fall in the same or in different 8 KB decode chunks.
+    """
+    good = "2018-01-01T00:00:00" + ONES + "\n"
+    defects = {
+        "bad-row": "2018-01-01T00:00:00,1\n",
+        "bad-stamp": "yesterday" + ONES + "\n",
+        "byte": "2018-01-01T00:00:00,\udcff" + ONES[2:] + "\n",
+        "long-field": "2018-01-01T00:00:00," + "1" * 140_000 + ONES[2:] + "\n",
+    }
+    text = HEADER + defects[first] + good * gap + defects[second]
+    return text.encode("utf-8", "surrogateescape")
+
+
+@pytest.mark.parametrize("block_rows", [1, 64])
+@pytest.mark.parametrize("first, second, gap, expected", [
+    ("bad-row", "byte", 400, "expected 12 columns"),  # the byte past 8 KB
+    ("byte", "bad-row", 400, "not a text file"),
+    ("bad-row", "byte", 0, "not a text file"),  # one decode chunk
+    ("bad-stamp", "long-field", 0, "bad timestamp"),
+    ("long-field", "bad-stamp", 0, "field larger than field limit"),
+], ids=["row-then-late-byte", "byte-then-row", "row-and-byte-in-one-chunk",
+        "stamp-then-long-field", "long-field-then-stamp"])
+def test_first_error_in_the_file_is_raised(
+    tmp_path, monkeypatch, block_rows, first, second, gap, expected
+):
+    monkeypatch.setattr(dataio, "_BLOCK_ROWS", block_rows)
+    path = tmp_path / "c.csv"
+    path.write_bytes(ordering_file(first, second, gap))
+    result = outcome(load_csv, path)
+    assert result == outcome(oracle_load_csv, path)
+    assert result[:2] == ("raised", SchemaError) and expected in result[2]
