@@ -11,12 +11,13 @@ pipeline on the same input yields bit-identical arrays.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
 from dataclasses import dataclass, field, replace
 from datetime import datetime
-from itertools import chain, islice
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -197,44 +198,51 @@ def load_csv(path: str | Path) -> TimeSeriesDataset:
     blank lines are skipped. Cells that are blank or not a number become NaN
     and are handled later by clean_missing.
 
-    The file is read once by the csv module, _BLOCK_ROWS records at a time.
-    Each block's rows are checked in order, so the first bad row raises
-    SchemaError with its line number, and then its cells are converted in
-    one pass. Text that does not decode, or a field longer than
-    csv.field_size_limit(), raises SchemaError once the rows before it have
-    been checked.
+    One csv.reader loop reads the file and checks each row as the reader
+    yields it, so the first bad row raises SchemaError with its line number.
+    Text that does not decode, or a field longer than csv.field_size_limit(),
+    raises SchemaError where the reader meets it, header line included. The
+    cells gathered are converted every _BLOCK_ROWS rows in one pass.
     """
     path = Path(path)
-    failure: list[Exception] = []
     stamps: list[str] = []
-    blocks = [np.empty((0, N_FEATURES))]
+    cells: list[str] = []
+    blocks: list[np.ndarray] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        records = _until_error(reader, failure)
-        header = next(records, None)
-        if header is None:
-            _raise_read_error(path, reader, failure)
-            raise SchemaError(f"{path}: empty file, expected a header row")
-        if tuple(header[1:]) != FEATURES:
-            raise SchemaError(
-                f"{path}: feature columns {header[1:]} do not match the "
-                f"expected schema {list(FEATURES)}"
-            )
-        numbered = enumerate(records, start=2)
-        while chunk := list(islice(numbered, _BLOCK_ROWS)):
-            for lineno, row in chunk:
-                if row:
-                    _check_row(path, lineno, row)
-            cells = list(chain.from_iterable(row for _, row in chunk))
-            stamps += cells[:: N_FEATURES + 1]
-            del cells[:: N_FEATURES + 1]
-            try:
-                # float(cell) equals _parse_cell(cell) wherever it does not raise
-                values = np.fromiter(map(float, cells), np.float64, len(cells))
-            except ValueError:
-                values = np.fromiter(map(_parse_cell, cells), np.float64, len(cells))
-            blocks.append(values.reshape(-1, N_FEATURES))
-        _raise_read_error(path, reader, failure)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: empty file, expected a header row")
+            if tuple(header[1:]) != FEATURES:
+                raise SchemaError(
+                    f"{path}: feature columns {header[1:]} do not match the "
+                    f"expected schema {list(FEATURES)}"
+                )
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != N_FEATURES + 1:
+                    raise SchemaError(
+                        f"{path}:{lineno}: expected {N_FEATURES + 1} columns, "
+                        f"got {len(row)}"
+                    )
+                try:
+                    datetime.fromisoformat(row[0])
+                except ValueError as exc:
+                    raise SchemaError(
+                        f"{path}:{lineno}: bad timestamp {row[0]!r}"
+                    ) from exc
+                stamps.append(row[0])
+                cells += row[1:]
+                if len(cells) == _BLOCK_ROWS * N_FEATURES:
+                    blocks.append(_block_values(cells))
+                    cells = []
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not a text file: {exc}") from exc
+        except csv.Error as exc:
+            raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
+    blocks.append(_block_values(cells))
     return TimeSeriesDataset(
         client_id=path.stem,
         timestamps=_datetime64(stamps),
@@ -246,36 +254,14 @@ def load_csv(path: str | Path) -> TimeSeriesDataset:
 _BLOCK_ROWS = 64
 
 
-def _until_error(
-    reader: Iterator[list[str]], failure: list[Exception]
-) -> Iterator[list[str]]:
-    """reader's records up to its first read error, which is kept in failure."""
+def _block_values(cells: list[str]) -> np.ndarray:
+    """Feature cells of whole rows as an (n, N_FEATURES) array of _parse_cell."""
     try:
-        yield from reader
-    except (UnicodeDecodeError, csv.Error) as exc:
-        failure.append(exc)
-
-
-def _raise_read_error(path: Path, reader, failure: list[Exception]) -> None:
-    """SchemaError for the read error that ended reader's records, if any."""
-    if not failure:
-        return
-    exc = failure[0]
-    if isinstance(exc, UnicodeDecodeError):
-        raise SchemaError(f"{path}: not a text file: {exc}") from exc
-    raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
-
-
-def _check_row(path: Path, lineno: int, row: list[str]) -> None:
-    """SchemaError unless row is a timestamp and N_FEATURES cells."""
-    if len(row) != N_FEATURES + 1:
-        raise SchemaError(
-            f"{path}:{lineno}: expected {N_FEATURES + 1} columns, got {len(row)}"
-        )
-    try:
-        datetime.fromisoformat(row[0])
-    except ValueError as exc:
-        raise SchemaError(f"{path}:{lineno}: bad timestamp {row[0]!r}") from exc
+        # float(cell) equals _parse_cell(cell) wherever it does not raise
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:
+        values = np.fromiter(map(_parse_cell, cells), np.float64, len(cells))
+    return values.reshape(-1, N_FEATURES)
 
 
 def _datetime64(stamps: list[str]) -> np.ndarray:
@@ -307,14 +293,36 @@ def _parse_cell(cell: str) -> float:
 
 
 def save_csv(dataset: TimeSeriesDataset, path: str | Path) -> None:
-    """Write a trace in the same layout load_csv reads."""
+    """Write a trace in the same layout load_csv reads.
+
+    path is replaced only once the whole trace is written, so an interrupted
+    write leaves the previous file, not a truncated one.
+    """
     path = Path(path)
-    with open(path, "w", newline="") as fh:
+    with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("time",) + tuple(dataset.features))
         for stamp, row in zip(dataset.timestamps, dataset.values):
             iso = np.datetime_as_string(stamp, unit="s")
             writer.writerow([iso] + [repr(float(v)) for v in row])
+
+
+@contextlib.contextmanager
+def _atomic_open(path: Path, mode: str = "w", **kwargs):
+    """open(path, mode) that replaces path only once the block completes.
+
+    The content goes to a temporary file in the same directory, which
+    os.replace then moves over path. A block that raises leaves path as it
+    was and removes the temporary file.
+    """
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def clean_missing(dataset: TimeSeriesDataset) -> TimeSeriesDataset:
@@ -502,41 +510,28 @@ def preprocess_clients(
             f"cohort: {unknown}"
         )
 
-    splits: list[SplitDataset] = []
-    local_scalers: list[ScalerParams] = []
+    splits: list[tuple[TimeSeriesDataset, ...]] = []
+    scalers: list[ScalerParams] = []
     for ds in datasets:
         split = split_chronological(clean_missing(ds))
+        train = split.train
         if config.use_flood_cap:
             lo, hi = config.per_client_percentiles.get(
                 ds.client_id,
                 (config.lower_percentile, config.upper_percentile),
             )
-            fc = fit_flood_cap(split.train, lo, hi)
-            split = SplitDataset(
-                train=apply_flood_cap(split.train, fc),
-                validation=split.validation,
-                test=split.test,
-            )
-        splits.append(split)
-        local_scalers.append(fit_scaler(split.train))
+            train = apply_flood_cap(train, fit_flood_cap(train, lo, hi))
+        splits.append((train, split.validation, split.test))
+        scalers.append(fit_scaler(train))
 
     if config.scaling_scope == "global":
-        shared = negotiate_global_scaler(local_scalers)
-        scalers = [shared] * len(datasets)
-    else:
-        scalers = local_scalers
+        scalers = [negotiate_global_scaler(scalers)] * len(datasets)
 
-    out: list[ClientWindows] = []
-    for ds, split, scaler in zip(datasets, splits, scalers):
-        out.append(
-            ClientWindows(
-                client_id=ds.client_id,
-                train=make_windows(scale(split.train, scaler), config.window_size),
-                validation=make_windows(
-                    scale(split.validation, scaler), config.window_size
-                ),
-                test=make_windows(scale(split.test, scaler), config.window_size),
-                scaler=scaler,
-            )
+    return [
+        ClientWindows(
+            ds.client_id,
+            *(make_windows(scale(part, scaler), config.window_size) for part in parts),
+            scaler=scaler,
         )
-    return out
+        for ds, parts, scaler in zip(datasets, splits, scalers)
+    ]

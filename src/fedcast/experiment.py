@@ -15,13 +15,11 @@ deterministic: same config, same files.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import dataclasses
 import functools
 import itertools
 import json
-import os
 import sys
 import typing
 from collections.abc import Mapping
@@ -41,6 +39,7 @@ from fedcast.dataio import (
     DataError,
     PreprocessConfig,
     TimeSeriesDataset,
+    _atomic_open,
     load_csv,
     preprocess_clients,
 )
@@ -343,24 +342,6 @@ def _score_params(
         pred = predict(spec, params_for(cw), cw.test.inputs)
         out[cw.client_id] = evaluate_forecasts(pred, cw.test.targets, cw.scaler)
     return out
-
-
-@contextlib.contextmanager
-def _atomic_open(path: Path, mode: str = "w", **kwargs):
-    """open(path, mode) that replaces path only once the block completes.
-
-    The content goes to a temporary file in the same directory, which
-    os.replace then moves over path. A block that raises leaves path as it
-    was and removes the temporary file.
-    """
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with open(tmp, mode, **kwargs) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def _write_rounds_csv(path: Path, history: FederationHistory) -> None:

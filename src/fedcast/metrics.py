@@ -87,8 +87,9 @@ def evaluate_forecasts(
     """Score scaled-space predictions against scaled-space truth.
 
     Both matrices are (n, 5); the scaler's first five features map them back
-    to original units first. Per-target NRMSE is NaN for a zero-mean target,
-    but the two traffic targets that feed avg_nrmse must have nonzero means.
+    to original units first. Predictions must be finite. Per-target NRMSE is
+    NaN for a zero-mean target, but the two traffic targets that feed
+    avg_nrmse must have nonzero means.
     """
     predictions = np.asarray(predictions, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
@@ -100,6 +101,8 @@ def evaluate_forecasts(
         raise ValueError(f"expected (n, {N_TARGETS}) matrices, got {predictions.shape}")
     if len(predictions) == 0:
         raise ValueError("cannot score zero points")
+    if not np.isfinite(predictions).all():
+        raise ValueError("predictions are not finite: the model diverged")
     t_scaler = target_scaler(scaler)
     pred_units = inverse_scale_array(predictions, t_scaler)
     truth_units = inverse_scale_array(truth, t_scaler)

@@ -245,11 +245,14 @@ ONES = ",1" * N_FEATURES
     HEADER + " 018-01-01T00:00:00" + ONES,
     HEADER + "0000-01-01T00:00:00" + ONES,
     HEADER + "2018-01-01T00:00:00," + "1" * 140_000 + ONES[2:],
+    "t" * 140_000 + HEADER[1:] + "2018-01-01T00:00:00" + ONES,
+    "t\udcff" + HEADER[1:] + "2018-01-01T00:00:00" + ONES,
 ], ids=["header", "quoted-stamp", "lone-cr", "space-separated", "quoted-cell",
-        "cr-in-row", "space-in-year", "year-zero", "field-over-csv-limit"])
+        "cr-in-row", "space-in-year", "year-zero", "field-over-csv-limit",
+        "header-field-over-csv-limit", "byte-in-header"])
 def test_unmodelled_files_go_to_the_row_reader(tmp_path, text):
     path = tmp_path / "c.csv"
-    path.write_text(text)
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     assert outcome(load_csv, path) == outcome(oracle_load_csv, path)
 
 

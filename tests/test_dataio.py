@@ -121,6 +121,20 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     assert np.array_equal(back.timestamps, ds.timestamps)
 
 
+def test_trace_write_that_fails_midway_keeps_the_previous_trace(tmp_path):
+    path = tmp_path / "bs001.csv"
+    save_csv(random_dataset(300, seed=1, client_id="bs001"), path)
+    before = path.read_bytes()
+    # a cell that cannot be written, past the first few KB of rows
+    ds = random_dataset(300, seed=2, client_id="bs001")
+    values = ds.values.astype(object)
+    values[250, 3] = "cut"
+    with pytest.raises(ValueError):
+        save_csv(TimeSeriesDataset(ds.client_id, ds.timestamps, values), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["bs001.csv"]
+
+
 # --------------------------------------------------------------- clean_missing
 
 def test_clean_missing_identity_when_clean():

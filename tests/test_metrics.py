@@ -221,8 +221,18 @@ def test_evaluate_nan_for_zero_mean_secondary_target():
 def test_evaluate_rejects_zero_mean_traffic_target():
     truth = np.full((2, 5), 0.5)
     truth[:, 0] = 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero-mean truth"):
         evaluate_forecasts(truth + 0.1, truth, unit_scaler())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evaluate_blames_non_finite_predictions_not_the_truth(bad):
+    # a diverged model predicts NaN; its NRMSE is NaN as for zero-mean truth
+    truth = np.full((2, 5), 0.5)
+    pred = truth.copy()
+    pred[1, 0] = bad
+    with pytest.raises(ValueError, match="predictions are not finite"):
+        evaluate_forecasts(pred, truth, unit_scaler())
 
 
 def test_evaluate_input_validation():
