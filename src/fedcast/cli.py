@@ -7,7 +7,8 @@
   fedcast report --runs DIR [DIR ...] --out plot.csv
       Flatten finished runs into one long-format CSV for plotting.
 
-Exit codes: 0 on success, 2 on invalid configs or unreadable data.
+Exit codes: 0 on success, 2 on invalid configs, unreadable data or a
+training run that diverged.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from fedcast.dataio import DataError, save_csv
 from fedcast.experiment import (
     ConfigError,
@@ -26,6 +29,7 @@ from fedcast.experiment import (
     materialize_data,
     run_experiment,
 )
+from fedcast.nn.training import DivergenceError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,8 +102,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "report": _cmd_report,
     }
     try:
-        return handlers[args.command](args)
-    except (ConfigError, DataError, OSError) as exc:
+        # A diverging run ends in DivergenceError; numpy's overflow warnings
+        # on the way there would only bury that one line.
+        with np.errstate(all="ignore"):
+            return handlers[args.command](args)
+    except (ConfigError, DataError, DivergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

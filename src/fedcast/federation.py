@@ -30,6 +30,7 @@ from fedcast.nn.models import ModelSpec, init_model
 from fedcast.nn.params import ParameterVector, payload_nbytes
 from fedcast.nn.training import (
     AdamState,
+    DivergenceError,
     TrainReport,
     evaluate,
     train_local,
@@ -146,7 +147,8 @@ def run_federated(
     seed fixes the initial weights, each client's shuffle stream and the
     client sampling. The best round is the one whose post-aggregation global
     scores the lowest validation MSE (sample-weighted over all clients); ties
-    keep the earliest round.
+    keep the earliest round. A round whose local training or aggregated
+    validation MSE is not finite raises DivergenceError naming the round.
     """
     _check_cohort(clients)
     by_id = {c.client_id: c for c in clients}
@@ -172,15 +174,18 @@ def run_federated(
         sampled = sample_clients(ids, federation.sampling_fraction, r, seed)
         reports: dict[str, TrainReport] = {}
         for cid in sampled:
-            reports[cid] = train_local(
-                spec,
-                global_pv,
-                by_id[cid].train,
-                epochs=federation.local_epochs,
-                seed=stream_seeds[cid],
-                proximal_mu=aggregator.mu,
-                state=trainers[cid],
-            )
+            try:
+                reports[cid] = train_local(
+                    spec,
+                    global_pv,
+                    by_id[cid].train,
+                    epochs=federation.local_epochs,
+                    seed=stream_seeds[cid],
+                    proximal_mu=aggregator.mu,
+                    state=trainers[cid],
+                )
+            except DivergenceError as exc:
+                raise DivergenceError(f"round {r}, client {cid}, {exc}") from exc
             trainers[cid] = reports[cid].state
 
         global_pv, server_state = aggregate(aggregator, server_state, global_pv, [
@@ -210,6 +215,8 @@ def run_federated(
             )
         agg_mse = weighted_mse / val_total
         agg_mae = weighted_mae / val_total
+        if not np.isfinite(agg_mse):
+            raise DivergenceError(f"round {r}: aggregated validation MSE is {agg_mse}")
         records.append(
             RoundRecord(
                 round=r,

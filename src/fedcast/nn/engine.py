@@ -6,16 +6,21 @@ graph once in reverse topological order. Everything is float64; graphs are
 built per call and garbage-collected afterwards, so no global state exists
 and identical inputs produce bit-identical gradients.
 
-Most ops are small and close over their inputs. Two are layer-sized.
-conv2d runs channels-last, (B, H, W, C), as im2col GEMMs over blocks of a
-few images, so each block's patch matrix stays in cache and no patch matrix
-of the whole batch exists. Its backward pass keeps only the padded input
-and is GEMMs only, the input gradient being the full-padding convolution of
-the output gradient with the flipped kernel.
-recurrent runs a whole RNN, LSTM or GRU layer, saves its own buffers for
-the backward pass through time (the gate activations, the cell states and
-the stacked hidden states of every step) and writes the gradients of its
-four inputs in one backward call.
+Each op keeps only what its backward pass reads, and with no input
+requiring a gradient its output carries no closure, so nothing is kept.
+Most ops are small and close over their inputs. Three are layer-sized:
+
+- dense is one GEMM with the bias and ReLU applied in place; it keeps the
+  ReLU mask.
+- conv2d runs channels-last, (B, H, W, C), as im2col GEMMs over blocks of
+  a few images, each padded on its own, so no padded copy and no patch
+  matrix of the whole batch exists. It applies bias and ReLU in place and
+  keeps only the ReLU mask beside its input, from which the GEMM-only
+  backward pass rebuilds the patches.
+- recurrent runs a whole RNN, LSTM or GRU layer and writes the gradients
+  of its four inputs in one backward call. It keeps the gate activations
+  and states of every step for the backward pass through time; in no-grad
+  mode (as in predict) the same step loop runs on ring buffers instead.
 """
 
 from __future__ import annotations
@@ -179,6 +184,41 @@ def relu(a) -> Tensor:
     return _make(np.where(mask, a.data, 0.0), (a,), backward)
 
 
+def _relu_(z: np.ndarray) -> np.ndarray:
+    """ReLU on z in place; returns the mask z > 0 for the backward pass.
+
+    Gives the bits of relu: NaN and -0.0 become +0.0, as in np.where.
+    """
+    mask = z > 0
+    np.copyto(z, 0.0, where=~mask)
+    return mask
+
+
+def dense(x, w, b, relu: bool) -> Tensor:
+    """One dense layer, x @ w + b, then ReLU when relu is set.
+
+    The bias and ReLU are applied in place on the GEMM's output, so the
+    layer allocates one activation where matmul, add and relu allocate
+    three. Kept for the backward pass: x, w and, with relu, the ReLU mask.
+    Forward and gradients have the bits of relu(add(matmul(x, w), b)).
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    z = x.data @ w.data
+    z += b.data
+    mask = _relu_(z) if relu else None
+
+    def backward(g):
+        if relu:
+            g = g * mask
+        if x.requires_grad:
+            _accum(x, g @ w.data.T)
+        if w.requires_grad:
+            _accum(w, x.data.T @ g)
+        _accum(b, g.sum(axis=0))
+
+    return _make(z, (x, w, b), backward)
+
+
 def narrow(a, axis: int, start: int, size: int) -> Tensor:
     """Contiguous slice [start, start+size) along one axis."""
     a = _as_tensor(a)
@@ -236,57 +276,62 @@ def spatial_mean(a) -> Tensor:
 CONV_BLOCK = 2
 
 
-def _pad(x: np.ndarray, padding: int) -> np.ndarray:
-    """(B, H, W, C) -> (B, H + 2 padding, W + 2 padding, C), zero border."""
-    batch, height, width, channels = x.shape
-    padded = np.zeros((batch, height + 2 * padding, width + 2 * padding, channels))
-    padded[:, padding : padding + height, padding : padding + width] = x
-    return padded
+def _patch_blocks(x: np.ndarray, kernel: int, padding: int):
+    """Yield (lo, hi, patches) over blocks of CONV_BLOCK images of x.
 
-
-def _patch_blocks(padded: np.ndarray, kernel: int):
-    """Yield (lo, hi, patches) over blocks of CONV_BLOCK images of padded.
-
-    patches is the im2col matrix of images lo..hi-1, ((hi-lo) * H' * W',
-    kernel^2 * C) with columns (ki, kj, c). One buffer is refilled for every
-    block, so it is valid only until the next step of the iteration.
+    patches is the im2col matrix of images lo..hi-1, zero-padded by padding,
+    ((hi-lo) * H' * W', kernel^2 * C) with columns (ki, kj, c). Each block is
+    copied into the interior of one small padded buffer whose border stays
+    zero, so no padded copy of the whole batch exists. The padded and patch
+    buffers are refilled for every block, so patches is valid only until the
+    next step of the iteration.
     """
-    batch, height, width, channels = padded.shape
-    out_h, out_w = height - kernel + 1, width - kernel + 1
+    batch, height, width, channels = x.shape
+    padded = np.zeros((min(CONV_BLOCK, batch), height + 2 * padding,
+                       width + 2 * padding, channels))
+    interior = padded[:, padding : padding + height, padding : padding + width]
     # (B, H', W', C, k, k) -> (B, H', W', k, k, C): one ordered copy of this
     # view fills a block about 3x faster than k^2 strided slice copies.
     view = np.lib.stride_tricks.sliding_window_view(padded, (kernel, kernel), (1, 2))
     view = view.transpose(0, 1, 2, 4, 5, 3)
-    buf = np.empty((min(CONV_BLOCK, batch), out_h, out_w, kernel, kernel, channels))
+    buf = np.empty(view.shape)
     for lo in range(0, batch, CONV_BLOCK):
         hi = min(lo + CONV_BLOCK, batch)
+        interior[: hi - lo] = x[lo:hi]
         block = buf[: hi - lo]
-        np.copyto(block, view[lo:hi])
+        np.copyto(block, view[: hi - lo])
         yield lo, hi, block.reshape(-1, kernel * kernel * channels)
 
 
-def _conv_gemm(padded: np.ndarray, w_mat: np.ndarray, kernel: int) -> np.ndarray:
-    """Valid convolution of padded with w_mat, rows (ki, kj, c): (B, H', W', F)."""
-    batch, height, width, _ = padded.shape
-    out = np.empty((batch, height - kernel + 1, width - kernel + 1, w_mat.shape[1]))
-    for lo, hi, patches in _patch_blocks(padded, kernel):
+def _conv_gemm(x: np.ndarray, w_mat: np.ndarray, kernel: int, padding: int) -> np.ndarray:
+    """Convolution of x, zero-padded by padding, with w_mat, rows (ki, kj, c).
+
+    Returns (B, H', W', F), H' = H + 2 padding - kernel + 1.
+    """
+    batch, height, width, _ = x.shape
+    grow = 2 * padding - kernel + 1
+    out = np.empty((batch, height + grow, width + grow, w_mat.shape[1]))
+    for lo, hi, patches in _patch_blocks(x, kernel, padding):
         np.matmul(patches, w_mat, out=out[lo:hi].reshape(len(patches), -1))
     return out
 
 
-def conv2d(x, w, b, kernel: int, padding: int) -> Tensor:
-    """Square-kernel 2-D convolution with stride 1, channels-last.
+def conv2d(x, w, b, kernel: int, padding: int, relu: bool = False) -> Tensor:
+    """Square-kernel 2-D convolution with stride 1, channels-last, then ReLU
+    when relu is set.
 
     x: (B, H, W, C); w: (C * kernel^2, F) with rows ordered (c, ki, kj);
     b: (F,). Output (B, H', W', F) where H' = H + 2 padding - kernel + 1;
-    0 <= padding < kernel. The input is padded once; then each block of
-    CONV_BLOCK images is lowered to its im2col patches and multiplied by w,
-    with its rows permuted to the patch order (ki, kj, c), straight into
-    its rows of the output. No patch matrix of the whole batch is built.
-    The backward pass keeps only the padded input. It rebuilds each block's
-    patches to accumulate dW = patches^T g, and computes the input gradient
-    as the same blocked convolution of g, padded by kernel - 1 - padding,
-    with the flipped kernel.
+    0 <= padding < kernel. Each block of CONV_BLOCK images is padded into a
+    small buffer, lowered to its im2col patches and multiplied by w, with
+    its rows permuted to the patch order (ki, kj, c), straight into its
+    rows of the output. No padded copy and no patch matrix of the whole
+    batch is built. The bias and ReLU are applied in place on the output.
+    Kept for the backward pass: x itself and, with relu, the ReLU mask.
+    The backward pass masks the output gradient, rebuilds each block's
+    patches from x to accumulate dW = patches^T g, and computes the input
+    gradient as the same blocked convolution of g, padded by
+    kernel - 1 - padding, with the flipped kernel.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     channels = x.data.shape[3]
@@ -297,13 +342,16 @@ def conv2d(x, w, b, kernel: int, padding: int) -> Tensor:
         raise ValueError(f"w has {rows} rows, not C*kernel^2 = {channels * kernel**2}")
     # w as (c, ki, kj, f) blocks: the checkpoint keeps its (c, ki, kj) rows
     w4 = w.data.reshape(channels, kernel, kernel, filters)
-    padded = _pad(x.data, padding)
-    out = _conv_gemm(padded, w4.transpose(1, 2, 0, 3).reshape(rows, filters), kernel)
+    w_mat = w4.transpose(1, 2, 0, 3).reshape(rows, filters)
+    out = _conv_gemm(x.data, w_mat, kernel, padding)
     out += b.data
+    mask = _relu_(out) if relu else None
 
     def backward(g):
+        if relu:
+            g = g * mask
         g_w = np.zeros((rows, filters))
-        for lo, hi, patches in _patch_blocks(padded, kernel):
+        for lo, hi, patches in _patch_blocks(x.data, kernel, padding):
             g_w += patches.T @ g[lo:hi].reshape(len(patches), filters)
         g_w = g_w.reshape(kernel, kernel, channels, filters)
         _accum(w, g_w.transpose(2, 0, 1, 3).reshape(rows, filters))
@@ -311,7 +359,7 @@ def conv2d(x, w, b, kernel: int, padding: int) -> Tensor:
         if x.requires_grad:
             # flipped kernel with rows (ki, kj, f) and one column per channel
             w_flip = w4[:, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(-1, channels)
-            _accum(x, _conv_gemm(_pad(g, kernel - 1 - padding), w_flip, kernel))
+            _accum(x, _conv_gemm(g, w_flip, kernel, kernel - 1 - padding))
 
     return _make(out, (x, w, b), backward)
 
@@ -324,30 +372,35 @@ def recurrent(cell: str, x, w_x, w_h, b) -> Tensor:
     w_h block), with z = x_t @ w_x + b + h @ w_h. w_x: (d, G*U),
     w_h: (U, G*U), b: (G*U,); the initial states are zero.
 
-    Following Appleyard et al. (arXiv:1604.01946), the input projection of
-    all T steps is computed before the recurrence, leaving one recurrent
-    GEMM and the fused gate math per step. Steps are feature-major,
-    (features, B), so every gate is a contiguous block of rows. The
-    (T, G*U, B) projection buffer is overwritten step by step with the gate
-    activations. The backward pass through time reads them with the saved
-    states, then forms each weight gradient with one GEMM over the stacked
-    (features, T*B) arrays.
+    Steps are feature-major, (features, B), so every gate is a contiguous
+    block of rows. Each step computes its input projection (with the bias
+    through a row of ones) into its slot of the (slots, G*U, B) activation
+    buffer, adds one recurrent GEMM and overwrites the slot with the fused
+    gate math. When an input requires a gradient, every step keeps its
+    slot: the gate activations of all T steps and the T + 1 states (and the
+    LSTM's cell states and tanh(c), the GRU's r*h) stay for the backward
+    pass through time, which forms each weight gradient with one GEMM over
+    the stacked (features, T*B) arrays. Without one (the no-grad mode of
+    predict), the same loop runs over rings of one activation slot and two
+    state slots, so nothing of past steps is kept.
     """
     x, w_x, w_h, b = (_as_tensor(a) for a in (x, w_x, w_h, b))
     cell_forward, cell_backward = _CELLS[cell]
     batch, steps, n_in = x.data.shape
-    units = w_h.data.shape[0]
+    units, width = w_h.data.shape
     # Stacks are (features, T, B), so each is a (features, T*B) matrix
     # without a copy. A row of ones after the d features carries the bias
     # through the input GEMM, and its gradient through the weight GEMM.
     xs = np.ones((n_in + 1, steps, batch))
     xs[:n_in] = x.data.transpose(2, 1, 0)
-    acts = np.matmul(np.vstack([w_x.data, b.data]).T, xs.transpose(1, 0, 2))
-    hs = np.zeros((units, steps + 1, batch))  # hs[:, t]: the state entering step t
-    saved = cell_forward(acts, hs, w_h.data)
+    w_xb = np.vstack([w_x.data, b.data]).T
+    slots = steps if any(a.requires_grad for a in (x, w_x, w_h, b)) else 1
+    acts = np.empty((slots, width, batch))
+    hs = np.zeros((units, slots + 1, batch))  # with T slots, hs[:, t] enters step t
+    saved = cell_forward(_steps(xs, w_xb, acts), acts, hs, w_h.data)
 
     def backward(g):
-        dz = np.empty((acts.shape[1], steps, batch))
+        dz = np.empty((width, steps, batch))
         g_w_h = cell_backward(np.ascontiguousarray(g.T), acts, hs, w_h.data, saved, dz)
         dz = _flat(dz)
         g_w_xb = _flat(xs) @ dz.T
@@ -357,7 +410,8 @@ def recurrent(cell: str, x, w_x, w_h, b) -> Tensor:
         if x.requires_grad:
             _accum(x, (w_x.data @ dz).reshape(n_in, steps, batch).transpose(2, 1, 0))
 
-    return _make(np.ascontiguousarray(hs[:, -1].T), (x, w_x, w_h, b), backward)
+    last = np.ascontiguousarray(hs[:, steps % (slots + 1)].T)
+    return _make(last, (x, w_x, w_h, b), backward)
 
 
 def _sigmoid_(z: np.ndarray) -> None:
@@ -373,42 +427,65 @@ def _flat(stack: np.ndarray) -> np.ndarray:
     return stack.reshape(len(stack), -1)
 
 
-# A cell's forward pass fills acts[t] with the gate activations and
-# hs[:, t + 1] with the states, and returns what else its backward pass
-# needs. The backward pass starts from dL/dh_T (U, B), fills dz[:, t] with
-# the gradient of the pre-activations z of step t and returns the gradient
-# of w_h.
+def _blocks(a: np.ndarray, n: int) -> list[np.ndarray]:
+    """The n equal row blocks of a, as views: np.split's result, cheaper."""
+    size = len(a) // n
+    return [a[k * size : (k + 1) * size] for k in range(n)]
 
-def _rnn_forward(acts, hs, w_h):
-    for t in range(len(acts)):
-        z = acts[t]
-        z += w_h.T @ hs[:, t]
+
+def _steps(xs, w_xb, acts):
+    """Walk the T steps over acts' slots and the len(acts) + 1 state slots.
+
+    For step t it writes the input projection w_xb @ xs[:, t] into acts'
+    slot a of step t and yields (a, s, s_out): state slot s enters step t
+    and s_out receives its result. With T activation slots these are
+    (t, t, t + 1); with one they form a ring.
+    """
+    slots = len(acts)
+    for t in range(xs.shape[1]):
+        a = t % slots
+        np.matmul(w_xb, xs[:, t], out=acts[a])
+        yield a, t % (slots + 1), (t + 1) % (slots + 1)
+
+
+# A cell's forward pass walks _steps: it adds the recurrent GEMM to the
+# projection in acts[a], overwrites it with the gate activations and writes
+# the state into hs[:, s_out]. It returns what else its backward pass needs.
+# The backward pass (T slots only) starts from dL/dh_T (U, B), fills
+# dz[:, t] with the gradient of the pre-activations z of step t and returns
+# the gradient of w_h.
+
+def _rnn_forward(steps, acts, hs, w_h):
+    for a, s, s_out in steps:
+        z = acts[a]
+        z += w_h.T @ hs[:, s]
         np.tanh(z, out=z)
-        hs[:, t + 1] = z
+        hs[:, s_out] = z
 
 
 def _rnn_backward(dh, acts, hs, w_h, saved, dz):
     for t in reversed(range(len(acts))):
         np.multiply(dh, 1.0 - acts[t] * acts[t], out=dz[:, t])
-        dh = w_h @ dz[:, t]
+        if t:
+            dh = w_h @ dz[:, t]
     return _flat(hs[:, :-1]) @ _flat(dz).T
 
 
-def _lstm_forward(acts, hs, w_h):
-    units = len(hs)
-    cs = np.zeros((len(acts) + 1, units, hs.shape[2]))  # cs[t]: entering step t
-    tanh_cs = np.empty_like(cs[1:])
-    for t in range(len(acts)):
-        z = acts[t]
-        z += w_h.T @ hs[:, t]
+def _lstm_forward(steps, acts, hs, w_h):
+    units, states, batch = hs.shape
+    cs = np.zeros((states, units, batch))  # cs[s]: the cell state in slot s
+    tanh_cs = np.empty((len(acts), units, batch))
+    for a, s, s_out in steps:
+        z = acts[a]
+        z += w_h.T @ hs[:, s]
         _sigmoid_(z[: 2 * units])
-        i, f, g, o = np.split(z, 4)
+        i, f, g, o = _blocks(z, 4)
         np.tanh(g, out=g)
         _sigmoid_(o)
-        np.multiply(f, cs[t], out=cs[t + 1])
-        cs[t + 1] += i * g
-        np.tanh(cs[t + 1], out=tanh_cs[t])
-        np.multiply(o, tanh_cs[t], out=hs[:, t + 1])
+        np.multiply(f, cs[s], out=cs[s_out])
+        cs[s_out] += i * g
+        np.tanh(cs[s_out], out=tanh_cs[a])
+        np.multiply(o, tanh_cs[a], out=hs[:, s_out])
     return cs, tanh_cs
 
 
@@ -416,33 +493,34 @@ def _lstm_backward(dh, acts, hs, w_h, saved, dz):
     cs, tanh_cs = saved
     dc = 0.0
     for t in reversed(range(len(acts))):
-        i, f, g, o = np.split(acts[t], 4)
-        di, df, dg, do = np.split(dz[:, t], 4)
+        i, f, g, o = _blocks(acts[t], 4)
+        di, df, dg, do = _blocks(dz[:, t], 4)
         tc = tanh_cs[t]
         dc = dc + dh * o * (1.0 - tc * tc)
         np.multiply(dc * g, i * (1.0 - i), out=di)
         np.multiply(dc * cs[t], f * (1.0 - f), out=df)
         np.multiply(dc * i, 1.0 - g * g, out=dg)
         np.multiply(dh * tc, o * (1.0 - o), out=do)
-        dc = dc * f
-        dh = w_h @ dz[:, t]
+        if t:
+            dc = dc * f
+            dh = w_h @ dz[:, t]
     return _flat(hs[:, :-1]) @ _flat(dz).T
 
 
-def _gru_forward(acts, hs, w_h):
-    units = len(hs)
+def _gru_forward(steps, acts, hs, w_h):
+    units, _, batch = hs.shape
     w_ru, w_n = w_h[:, : 2 * units], w_h[:, 2 * units :]
-    rhs = np.empty_like(hs[:, 1:])  # r * h per step: the input of the w_n GEMM
-    for t in range(len(acts)):
-        h = hs[:, t]
-        ru, n = acts[t, : 2 * units], acts[t, 2 * units :]
+    rhs = np.empty((units, len(acts), batch))  # r * h: the input of the w_n GEMM
+    for a, s, s_out in steps:
+        h = hs[:, s]
+        ru, n = acts[a, : 2 * units], acts[a, 2 * units :]
         ru += w_ru.T @ h
         _sigmoid_(ru)
-        r, u = np.split(ru, 2)
-        np.multiply(r, h, out=rhs[:, t])
-        n += w_n.T @ rhs[:, t]
+        r, u = _blocks(ru, 2)
+        np.multiply(r, h, out=rhs[:, a])
+        n += w_n.T @ rhs[:, a]
         np.tanh(n, out=n)
-        hs[:, t + 1] = (1.0 - u) * h + u * n
+        hs[:, s_out] = (1.0 - u) * h + u * n
     return rhs
 
 
@@ -451,13 +529,14 @@ def _gru_backward(dh, acts, hs, w_h, rhs, dz):
     w_ru, w_n = w_h[:, : 2 * units], w_h[:, 2 * units :]
     for t in reversed(range(len(acts))):
         h = hs[:, t]
-        r, u, n = np.split(acts[t], 3)
-        dr, du, dn = np.split(dz[:, t], 3)
+        r, u, n = _blocks(acts[t], 3)
+        dr, du, dn = _blocks(dz[:, t], 3)
         np.multiply(dh * u, 1.0 - n * n, out=dn)
         np.multiply(dh * (n - h), u * (1.0 - u), out=du)
         d_rh = w_n @ dn
         np.multiply(d_rh * h, r * (1.0 - r), out=dr)
-        dh = dh * (1.0 - u) + d_rh * r + w_ru @ dz[: 2 * units, t]
+        if t:
+            dh = dh * (1.0 - u) + d_rh * r + w_ru @ dz[: 2 * units, t]
     g_w_h = np.empty_like(w_h)
     g_w_h[:, : 2 * units] = _flat(hs[:, :-1]) @ _flat(dz[: 2 * units]).T
     g_w_h[:, 2 * units :] = _flat(rhs) @ _flat(dz[2 * units :]).T

@@ -138,16 +138,16 @@ def forward_graph(
 
 
 def _dense_head(tensors: Mapping[str, Tensor], h: Tensor) -> Tensor:
-    h = eg.relu(eg.add(eg.matmul(h, tensors["head.w"]), tensors["head.b"]))
-    return eg.add(eg.matmul(h, tensors["out.w"]), tensors["out.b"])
+    h = eg.dense(h, tensors["head.w"], tensors["head.b"], True)
+    return eg.dense(h, tensors["out.w"], tensors["out.b"], False)
 
 
 def _mlp(spec, tensors, x):
     batch = x.shape[0]
     h: Tensor = Tensor(x.reshape(batch, spec.window_size * spec.n_features))
     for i in range(len(spec.hidden_sizes)):
-        h = eg.relu(eg.add(eg.matmul(h, tensors[f"fc{i}.w"]), tensors[f"fc{i}.b"]))
-    return eg.add(eg.matmul(h, tensors["out.w"]), tensors["out.b"])
+        h = eg.dense(h, tensors[f"fc{i}.w"], tensors[f"fc{i}.b"], True)
+    return eg.dense(h, tensors["out.w"], tensors["out.b"], False)
 
 
 def _recurrent(spec, tensors, x):
@@ -162,10 +162,8 @@ def _cnn(spec, tensors, x):
     h: Tensor = Tensor(x.reshape(batch, spec.window_size, spec.n_features, 1))
     pad = spec.kernel_size // 2
     for i in range(len(spec.conv_filters)):
-        h = eg.relu(
-            eg.conv2d(h, tensors[f"conv{i}.w"], tensors[f"conv{i}.b"],
-                      spec.kernel_size, pad)
-        )
+        h = eg.conv2d(h, tensors[f"conv{i}.w"], tensors[f"conv{i}.b"],
+                      spec.kernel_size, pad, relu=True)
     return _dense_head(tensors, eg.spatial_mean(h))
 
 

@@ -31,6 +31,10 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+class DivergenceError(ArithmeticError):
+    """Training produced a non-finite loss or validation score."""
+
+
 @dataclass(frozen=True)
 class AdamState:
     """First/second moments plus the bias-correction step counter."""
@@ -48,18 +52,32 @@ class AdamState:
 def adam_step(
     state: AdamState, values: np.ndarray, grad: np.ndarray, lr: float
 ) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update: theta -= lr * m_hat / (sqrt(v_hat) + eps)."""
+    """One bias-corrected Adam update: theta -= lr * m_hat / (sqrt(v_hat) + eps).
+
+    state.m and state.v are updated in place and returned in the new state,
+    so the state passed in is spent; values is not touched. Two temporaries
+    run the textbook form's operations in its order, so the bits match it.
+    """
     if grad.shape != values.shape:
         raise ValueError(
             f"gradient shape {grad.shape} does not match parameters {values.shape}"
         )
     t = state.step + 1
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * (grad * grad)
-    m_hat = m / (1.0 - ADAM_BETA1 ** t)
-    v_hat = v / (1.0 - ADAM_BETA2 ** t)
-    new_values = values - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return new_values, AdamState(m, v, t)
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    step = np.multiply(grad, 1.0 - ADAM_BETA1)
+    m += step
+    np.multiply(grad, grad, out=step)
+    step *= 1.0 - ADAM_BETA2
+    v *= ADAM_BETA2
+    v += step
+    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=step)  # m_hat
+    denom = np.divide(v, 1.0 - ADAM_BETA2 ** t)  # v_hat
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    step *= lr
+    step /= denom
+    return np.subtract(values, step, out=denom), AdamState(m, v, t)
 
 
 def loss_and_grad(
@@ -197,7 +215,8 @@ def _train(
 
     The proximal term anchors to the weights the call starts from. With a
     stopper, every epoch is scored on validation, the best-epoch weights are
-    kept, and the loop ends once the stopper says so.
+    kept, and the loop ends once the stopper says so. An epoch whose
+    training loss or validation MSE is not finite raises DivergenceError.
     """
     if epochs > 0 and train.count == 0:
         raise ValueError("cannot train on zero windows")
@@ -220,9 +239,17 @@ def _train(
             spec, layout, values, state, train, rng, proximal_mu, params.values
         )
         total_steps += steps
+        if not math.isfinite(epoch_loss):
+            raise DivergenceError(
+                f"epoch {first_epoch + e}: training loss is {epoch_loss}"
+            )
         train_losses.append(epoch_loss)
         if stopper is not None:
             mse, mae = evaluate(spec, ParameterVector(values, layout), validation)
+            if not math.isfinite(mse):
+                raise DivergenceError(
+                    f"epoch {first_epoch + e}: validation MSE is {mse}"
+                )
             val_losses.append(mse)
             val_maes.append(mae)
             if stopper.best_epoch is None or mse < stopper.best:

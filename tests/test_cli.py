@@ -233,6 +233,20 @@ def test_run_missing_config_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", ["federated", "centralized"])
+def test_run_that_diverges_exits_2_with_one_line(tmp_path, capsys, setting):
+    # Adam at lr 1e300 makes the weights non-finite within the first epoch
+    config = write_config(tmp_path, setting=setting, model={
+        "architecture": "mlp", "window_size": 6, "hidden_sizes": [16],
+        "learning_rate": 1.0e300,
+    })
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "epoch 0" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not list((tmp_path / "out").rglob("metrics.json"))
+
+
 def test_full_chain_generate_run_report(tmp_path, capsys):
     # generate traces, rerun the same experiment from CSV paths, report
     gen_config = write_config(tmp_path)

@@ -259,6 +259,73 @@ def test_conv2d_rejects_weight_rows_that_do_not_match_the_input():
         engine.conv2d(Tensor(x), Tensor(w), Tensor(b), kernel=3, padding=1)
 
 
+# ------------------------------------------------------------ fused ReLU ops
+
+def assert_special_pre_activations(z):
+    """z holds NaN, both signed zeros, negatives and positives."""
+    zero = z == 0
+    assert np.isnan(z).any() and (z < 0).any() and (z > 0).any()
+    assert (zero & np.signbit(z)).any() and (zero & ~np.signbit(z)).any()
+
+
+def fused_and_composed(fused, composed, arrays, head):
+    """Forward bytes and every gradient's bytes of both graphs."""
+    results = []
+    for build in (fused, composed):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = build(*leaves)
+        engine.mean_all(engine.mul(out, Tensor(head))).backward()
+        results.append([out.data.tobytes()] + [t.grad.tobytes() for t in leaves])
+    return results
+
+
+def test_dense_relu_is_bitwise_relu_of_add_matmul():
+    r = rng(14)
+    x = r.standard_normal((6, 4))
+    x[0] = np.nan
+    x[1] = -1e-200  # products with the tiny column underflow to -0.0
+    x[2] = 0.0
+    w = r.standard_normal((4, 5))
+    w[:, 0] = 1e-200
+    b = r.standard_normal(5)
+    b[0], b[1] = -0.0, 0.0
+    assert_special_pre_activations(x @ w + b)
+    head = r.standard_normal((6, 5))
+    fused, composed = fused_and_composed(
+        lambda xx, ww, bb: engine.dense(xx, ww, bb, True),
+        lambda xx, ww, bb: engine.relu(engine.add(engine.matmul(xx, ww), bb)),
+        [x, w, b], head,
+    )
+    assert fused == composed
+    fused, composed = fused_and_composed(
+        lambda xx, ww, bb: engine.dense(xx, ww, bb, False),
+        lambda xx, ww, bb: engine.add(engine.matmul(xx, ww), bb),
+        [x, w, b], head,
+    )
+    assert fused == composed
+
+
+@pytest.mark.parametrize("kernel, padding, channels", [(3, 1, 1), (1, 0, 4)])
+def test_conv2d_relu_is_bitwise_relu_of_conv2d(kernel, padding, channels):
+    r = rng(15)
+    x = r.standard_normal((3, 4, 5, channels))
+    x[0] = -1e-200
+    x[1, 1, 2, 0] = np.nan
+    x[2, :2] = 0.0
+    w = r.standard_normal((channels * kernel * kernel, 3))
+    w[:, 0] = 1e-200
+    b = r.standard_normal(3)
+    b[0], b[1] = -0.0, 0.0
+    plain = engine.conv2d(Tensor(x), Tensor(w), Tensor(b), kernel, padding)
+    assert_special_pre_activations(plain.data)
+    fused, composed = fused_and_composed(
+        lambda xx, ww, bb: engine.conv2d(xx, ww, bb, kernel, padding, relu=True),
+        lambda xx, ww, bb: engine.relu(engine.conv2d(xx, ww, bb, kernel, padding)),
+        [x, w, b], r.standard_normal(plain.data.shape),
+    )
+    assert fused == composed
+
+
 def test_diamond_graph_accumulates():
     # y = a*a + a*a: gradient must sum both paths, d/da = 4a
     a = Tensor(np.array([[2.0, -1.5]]), requires_grad=True)
@@ -376,3 +443,16 @@ def test_recurrent_grads(cell):
     check_grads(
         lambda *t: engine.mean_all(engine.square(engine.recurrent(cell, *t))), arrays
     )
+
+
+@pytest.mark.parametrize("cell", ["rnn", "lstm", "gru"])
+@pytest.mark.parametrize("batch", [1, 37, 127])
+@pytest.mark.parametrize("steps", [1, 3, 10])
+def test_recurrent_without_grad_matches_the_grad_forward_bitwise(cell, batch, steps):
+    # no input requires a gradient: the step loop runs on rings of one
+    # activation slot and two state slots and keeps no backward closure
+    arrays = recurrent_arrays(cell, batch, steps, n_in=11, units=128, seed=16)
+    with_grad = engine.recurrent(cell, *(Tensor(a, requires_grad=True) for a in arrays))
+    without = engine.recurrent(cell, *(Tensor(a) for a in arrays))
+    assert without._backward is None and not without.requires_grad
+    assert without.data.tobytes() == with_grad.data.tobytes()

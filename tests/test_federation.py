@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import zlib
 
 import numpy as np
@@ -20,7 +21,12 @@ from fedcast.federation import (
     sample_clients,
 )
 from fedcast.nn.models import ModelSpec, init_model
-from fedcast.nn.training import evaluate, train_local, train_with_early_stopping
+from fedcast.nn.training import (
+    DivergenceError,
+    evaluate,
+    train_local,
+    train_with_early_stopping,
+)
 
 SPEC = ModelSpec(
     architecture="mlp", window_size=4, n_features=3, n_targets=2,
@@ -171,6 +177,21 @@ def test_single_client_session_is_plain_local_training():
         SPEC, initial, cw.train, epochs=6, seed=client_stream_seed(11, "solo")
     )
     assert np.array_equal(hist.final_global.values, straight.params.values)
+
+
+def test_session_that_diverges_names_the_round():
+    # Adam at lr 1e300: with three batches an epoch, the local training loss
+    # is already non-finite; with one, only the aggregated validation MSE is
+    spec = dataclasses.replace(SPEC, learning_rate=1e300)
+    cohort = [client("a"), client("b")]
+    with np.errstate(all="ignore"):
+        with pytest.raises(DivergenceError,
+                           match="round 0, client a, epoch 0: training loss"):
+            run_federated(spec, cohort, fed(rounds=2), FEDAVG)
+        with pytest.raises(DivergenceError,
+                           match="round 0: aggregated validation MSE"):
+            run_federated(dataclasses.replace(spec, batch_size=24), cohort,
+                          fed(rounds=2), FEDAVG)
 
 
 def test_round_records_account_participation():

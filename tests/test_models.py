@@ -176,6 +176,16 @@ def test_predict_chunking_matches_forward():
     assert np.array_equal(chunked, predict(spec, pv, x))
 
 
+def traced_peak(fn) -> int:
+    """Peak bytes that numpy and Python allocate while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_predict_peak_memory_is_bounded_by_the_chunk():
     # each chunk's graph is freed before the next is built, so four chunks
     # peak where one does (an unchunked pass would peak about 4x higher)
@@ -183,34 +193,50 @@ def test_predict_peak_memory_is_bounded_by_the_chunk():
     pv = init_model(spec, 0)
     rng = np.random.Generator(np.random.PCG64(4))
 
-    def traced_peak(n):
+    def predict_peak(n):
         x = rng.uniform(0, 1, (n, 10, 11))
-        tracemalloc.start()
-        try:
-            predict(spec, pv, x)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: predict(spec, pv, x))
 
-    assert traced_peak(4 * PREDICT_CHUNK) <= 1.1 * traced_peak(PREDICT_CHUNK)
+    assert predict_peak(4 * PREDICT_CHUNK) <= 1.1 * predict_peak(PREDICT_CHUNK)
+
+
+def widest_cnn_activation_bytes(spec, batch):
+    return batch * spec.window_size * spec.n_features * max(spec.conv_filters) * 8
 
 
 def test_cnn_predict_peak_memory_is_a_few_activations():
-    # layers run one at a time, predict keeps no graph and conv2d builds its
-    # patches a few images at a time, so the peak is a few copies of the
-    # widest activation: a layer's input, its padded copy and its output
+    # layers run one at a time, predict keeps no graph, conv2d pads and
+    # builds its patches a few images at a time and applies its ReLU in
+    # place, so the peak is a layer's input, its output and its ReLU mask
+    # (2.26 activations measured)
     spec = ModelSpec(architecture="cnn")
     pv = init_model(spec, 0)
     x = np.random.Generator(np.random.PCG64(4)).uniform(0, 1, (PREDICT_CHUNK, 10, 11))
-    activation_bytes = (PREDICT_CHUNK * spec.window_size * spec.n_features
-                        * max(spec.conv_filters) * 8)
-    tracemalloc.start()
-    try:
-        predict(spec, pv, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * activation_bytes
+    peak = traced_peak(lambda: predict(spec, pv, x))
+    assert peak <= 2.5 * widest_cnn_activation_bytes(spec, PREDICT_CHUNK)
+
+
+def test_cnn_train_step_peak_memory_is_bounded():
+    # the graph keeps each conv layer's output and ReLU mask, not a padded
+    # copy of its input or a second ReLU output (7.3 widest activations
+    # measured at batch 128)
+    spec = ModelSpec(architecture="cnn")
+    pv = init_model(spec, 0)
+    r = np.random.Generator(np.random.PCG64(5))
+    x = r.uniform(0, 1, (spec.batch_size, 10, 11))
+    y = r.uniform(0, 1, (spec.batch_size, 5))
+    peak = traced_peak(lambda: loss_and_grad(spec, pv, x, y))
+    assert peak <= 8 * widest_cnn_activation_bytes(spec, spec.batch_size)
+
+
+def test_lstm_predict_keeps_no_per_step_history():
+    # with no gradient to form, recurrent runs on one activation slot and
+    # two state slots (7.4 MB measured on 1,024 windows); keeping every
+    # step of a 512-window chunk would take about 40 MB
+    spec = ModelSpec(architecture="lstm")
+    pv = init_model(spec, 0)
+    x = np.random.Generator(np.random.PCG64(6)).uniform(0, 1, (2 * PREDICT_CHUNK, 10, 11))
+    assert traced_peak(lambda: predict(spec, pv, x)) <= 10e6
 
 
 def test_model_spec_validation():

@@ -8,6 +8,7 @@ from fedcast.nn.models import ModelSpec, init_model, layout_for
 from fedcast.nn.params import ParameterVector, zeros_like
 from fedcast.nn.training import (
     AdamState,
+    DivergenceError,
     EarlyStopper,
     _epoch_rng,
     adam_step,
@@ -55,6 +56,28 @@ def test_adam_two_steps_match_scripted_recurrence():
         theta = theta - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
     assert np.array_equal(got, theta)
     assert state.step == 2
+
+
+def test_adam_step_in_place_has_the_bits_of_the_textbook_form():
+    # the moments are updated in place through two temporaries; the result
+    # must equal the out-of-place expressions bit for bit
+    r = np.random.Generator(np.random.PCG64(3))
+    lr, b1, b2, eps = 0.001, 0.9, 0.999, 1e-8
+    values = r.standard_normal(1000)
+    state = AdamState.zeros(1000)
+    m, v, theta = np.zeros(1000), np.zeros(1000), values.copy()
+    for t in (1, 2, 3):
+        g = r.standard_normal(1000) * 10.0 ** r.integers(-8, 3, 1000)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        theta = theta - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+        given, before = values, values.copy()
+        moments = state.m, state.v
+        values, state = adam_step(state, values, g, lr)
+        assert values is not given and np.array_equal(given, before)
+        assert state.m is moments[0] and state.v is moments[1]
+    assert values.tobytes() == theta.tobytes()
+    assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
 
 
 def test_adam_step_rejects_layout_mismatch():
@@ -192,6 +215,21 @@ def test_train_local_validates_arguments():
         train_local(SMALL, pv, w, epochs=1, proximal_mu=-1.0)
     with pytest.raises(ValueError):
         train_local(SMALL, pv, random_windows(0), epochs=1)
+
+
+def test_training_that_diverges_names_the_epoch():
+    # one Adam step at lr 1e300 moves every weight by about 1e300
+    spec = dataclasses.replace(SMALL, learning_rate=1e300)
+    w = random_windows(40, seed=1)
+    pv = init_model(spec, 0)
+    with np.errstate(all="ignore"):
+        with pytest.raises(DivergenceError, match="epoch 0: training loss"):
+            train_local(spec, pv, w, epochs=2)
+        # a whole epoch in one batch keeps the training loss finite
+        one_batch = dataclasses.replace(spec, batch_size=40)
+        with pytest.raises(DivergenceError, match="epoch 0: validation MSE"):
+            train_with_early_stopping(one_batch, pv, w, random_windows(8, seed=2),
+                                      max_epochs=3, patience=2)
 
 
 # -------------------------------------------------------------- early stopping
