@@ -196,7 +196,8 @@ def aggregate(
     if strategy == "simpleavg":
         new_w = np.stack(local).mean(axis=0)
     elif strategy == "medianavg":
-        new_w = np.median(np.stack(local), axis=0)
+        # the stack is this call's own, so median may partition it in place
+        new_w = np.median(np.stack(local), axis=0, overwrite_input=True)
     elif strategy in ("fedavg", "fedprox"):
         # eta == 1 averages client models directly: exact (not just close)
         # for a single client, and equal to w + dW up to float rounding.

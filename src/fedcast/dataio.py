@@ -458,6 +458,11 @@ def make_windows(dataset: TimeSeriesDataset, window_size: int) -> WindowedDatase
     first five features. A segment of n rows yields max(0, n - T) pairs;
     windows never cross segment boundaries because each segment is windowed
     separately.
+
+    inputs is a read-only view of dataset.values, not a copy: window k is
+    rows k..k+T-1, which are contiguous there, so the windows cost the
+    series once rather than T times. Fancy indexing (a shuffled batch) or
+    np.ascontiguousarray gives a private copy.
     """
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
@@ -470,7 +475,7 @@ def make_windows(dataset: TimeSeriesDataset, window_size: int) -> WindowedDatase
             targets=np.empty((0, N_TARGETS), dtype=np.float64),
         )
     slid = np.lib.stride_tricks.sliding_window_view(values, window_size, axis=0)
-    inputs = slid[:m].transpose(0, 2, 1).copy()
+    inputs = slid[:m].transpose(0, 2, 1)
     targets = values[window_size:, :N_TARGETS].copy()
     return WindowedDataset(inputs=inputs, targets=targets)
 

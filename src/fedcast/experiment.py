@@ -431,13 +431,11 @@ def run_experiment(
     _check_windows(config, clients)
     spec = config.model
     out_root = Path(output_dir if output_dir is not None else config.output_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
 
     runs: list[RunResult] = []
     for cell_label, aggregator in config.cells:
         for seed in config.seeds:
             run_dir = out_root / cell_label / f"seed-{seed}"
-            run_dir.mkdir(parents=True, exist_ok=True)
             runs.append(_run_once(
                 config, spec, clients, aggregator, seed, run_dir, cell_label
             ))
@@ -449,6 +447,7 @@ def run_experiment(
         runs=tuple(runs),
         output_dir=str(out_root),
     )
+    out_root.mkdir(parents=True, exist_ok=True)
     _json_dump(out_root / "summary.json", _summary_payload(summary))
     _json_dump(
         out_root / "manifest.json",
@@ -468,27 +467,33 @@ def _run_once(
 
     Only the training differs per setting: each writes its curve CSV and
     names the weights every client is scored with. Checkpoints, test scores,
-    fine-tuning and metrics.json are shared.
+    fine-tuning and metrics.json are shared. run_dir is created only once
+    training has succeeded, so a run that fails there leaves no empty
+    directory.
     """
     budget = (config.training.max_epochs, config.training.patience, seed)
     best_index = server_total_mb = shared = None
     if config.setting == "federated":
         history = run_federated(spec, clients, config.federation, aggregator, seed)
-        _write_rounds_csv(run_dir / "rounds.csv", history)
+        curves = functools.partial(_write_rounds_csv, run_dir / "rounds.csv", history)
         shared, best_index = history.best_global, history.best_round
         server_total_mb = megabytes(account_communication(history).server_total_bytes)
     elif config.setting == "centralized":
         report = run_centralized(spec, clients, *budget)
-        _write_epochs_csv(run_dir / "epochs.csv", {"pooled": report})
+        curves = functools.partial(
+            _write_epochs_csv, run_dir / "epochs.csv", {"pooled": report}
+        )
         shared, best_index = report.params, report.best_epoch
     else:
         reports = {cw.client_id: run_centralized(spec, [cw], *budget) for cw in clients}
-        _write_epochs_csv(run_dir / "epochs.csv", reports)
+        curves = functools.partial(_write_epochs_csv, run_dir / "epochs.csv", reports)
         models = {cid: report.params for cid, report in reports.items()}
         checkpoints = {f"checkpoint-{cid}.bin": p for cid, p in models.items()}
     if shared is not None:
         models = {cw.client_id: shared for cw in clients}
         checkpoints = {"checkpoint.bin": shared}
+    run_dir.mkdir(parents=True, exist_ok=True)
+    curves()
     for name, params in checkpoints.items():
         with _atomic_open(run_dir / name, "wb") as fh:
             fh.write(serialize_params(params))

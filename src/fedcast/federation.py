@@ -163,7 +163,9 @@ def run_federated(
     global_pv = init_model(spec, seed)
     server_state = ServerState.zeros(global_pv.size)
     stream_seeds = {cid: client_stream_seed(seed, cid) for cid in ids}
-    trainers = {cid: AdamState.zeros(global_pv.size) for cid in ids}
+    # A client's Adam state exists once it has trained; train_local starts
+    # from zeros for a client not in the dict yet.
+    trainers: dict[str, AdamState] = {}
 
     records: list[RoundRecord] = []
     best_round: Optional[int] = None
@@ -182,7 +184,7 @@ def run_federated(
                     epochs=federation.local_epochs,
                     seed=stream_seeds[cid],
                     proximal_mu=aggregator.mu,
-                    state=trainers[cid],
+                    state=trainers.get(cid),
                 )
             except DivergenceError as exc:
                 raise DivergenceError(f"round {r}, client {cid}, {exc}") from exc

@@ -11,7 +11,8 @@ requiring a gradient its output carries no closure, so nothing is kept.
 Most ops are small and close over their inputs. Three are layer-sized:
 
 - dense is one GEMM with the bias and ReLU applied in place; it keeps the
-  ReLU mask.
+  ReLU mask. The in-place ReLU is branch-free: it ANDs the value bits with
+  the sign-extended mask -(z > 0), in cache-sized chunks.
 - conv2d runs channels-last, (B, H, W, C), as im2col GEMMs over blocks of
   a few images, each padded on its own, so no padded copy and no patch
   matrix of the whole batch exists. It applies bias and ReLU in place and
@@ -184,13 +185,29 @@ def relu(a) -> Tensor:
     return _make(np.where(mask, a.data, 0.0), (a,), backward)
 
 
-def _relu_(z: np.ndarray) -> np.ndarray:
-    """ReLU on z in place; returns the mask z > 0 for the backward pass.
+# Elements per pass of _relu_: its int8 scratch and the float64 chunk it
+# masks (32 kB and 256 kB) stay in cache between the two passes.
+RELU_CHUNK = 1 << 15
 
-    Gives the bits of relu: NaN and -0.0 become +0.0, as in np.where.
+
+def _relu_(z: np.ndarray) -> np.ndarray:
+    """ReLU on z (C-contiguous, as dense and conv2d make it) in place;
+    returns the mask z > 0 for the backward pass.
+
+    Branch-free: each chunk of RELU_CHUNK elements is ANDed bitwise with the
+    sign-extended -(z > 0), all ones where z > 0 and zero elsewhere, where a
+    masked copy would branch on every sign change. Gives the bits of relu:
+    NaN and -0.0 become +0.0, as in np.where.
     """
     mask = z > 0
-    np.copyto(z, 0.0, where=~mask)
+    bits = z.reshape(-1).view(np.int64)
+    signs = mask.reshape(-1).view(np.int8)  # 0 or 1
+    scratch = np.empty(min(RELU_CHUNK, bits.size), dtype=np.int8)
+    for lo in range(0, bits.size, RELU_CHUNK):
+        chunk = bits[lo : lo + RELU_CHUNK]
+        keep = scratch[: len(chunk)]
+        np.negative(signs[lo : lo + RELU_CHUNK], out=keep)  # 0 or -1
+        np.bitwise_and(chunk, keep, out=chunk)
     return mask
 
 
@@ -242,6 +259,25 @@ def reshape(a, shape: Iterable[int]) -> Tensor:
         _accum(a, g.reshape(a.data.shape))
 
     return _make(a.data.reshape(shape), (a,), backward)
+
+
+def mse(pred, target) -> Tensor:
+    """Mean squared error, mean_all(square(sub(pred, target))) as one op.
+
+    Keeps only the difference for the backward pass, where the three ops
+    keep it and its square, and gives their forward and gradient bits.
+    """
+    pred, target = _as_tensor(pred), _as_tensor(target)
+    diff = pred.data - target.data
+
+    def backward(g):
+        g_diff = np.full(diff.shape, float(g) / diff.size) * (2.0 * diff)
+        if pred.requires_grad:
+            _accum(pred, _unbroadcast(g_diff, pred.data.shape))
+        if target.requires_grad:
+            _accum(target, _unbroadcast(-g_diff, target.data.shape))
+
+    return _make(np.asarray((diff * diff).mean()), (pred, target), backward)
 
 
 def mean_all(a) -> Tensor:

@@ -122,9 +122,13 @@ def forward_graph(
     """Build the prediction graph for a batch of windows.
 
     tensors maps layout names to engine Tensors (leaves when training,
-    constants when predicting). inputs is (batch, T, d).
+    constants when predicting). inputs is (batch, T, d), and may be a view
+    of overlapping windows (see make_windows): it is copied to a contiguous
+    array first, since the MLP's reshape of such a view would give rows that
+    overlap, which numpy's matmul multiplies without BLAS, slower and with
+    different rounding.
     """
-    x = np.asarray(inputs, dtype=np.float64)
+    x = np.ascontiguousarray(inputs, dtype=np.float64)
     if x.ndim != 3 or x.shape[1] != spec.window_size or x.shape[2] != spec.n_features:
         raise ValueError(
             f"expected inputs (batch, {spec.window_size}, {spec.n_features}), "

@@ -21,7 +21,6 @@ import numpy as np
 from fedcast.dataio import WindowedDataset
 from fedcast.nn.models import ModelSpec, forward_graph, leaf_tensors, predict
 from fedcast.nn import engine as eg
-from fedcast.nn.engine import Tensor
 from fedcast.nn.params import Layout, ParameterVector
 
 
@@ -89,8 +88,7 @@ def loss_and_grad(
     """MSE loss and its flat gradient for one batch."""
     leaves = leaf_tensors(params)
     pred = forward_graph(spec, leaves, inputs)
-    loss = eg.mean_all(eg.square(eg.sub(pred, Tensor(np.asarray(targets,
-                                                                dtype=np.float64)))))
+    loss = eg.mse(pred, targets)
     loss.backward()
     layout = params.layout
     flat = np.zeros(layout.size, dtype=np.float64)

@@ -195,6 +195,20 @@ def test_medianavg_coordinatewise():
     assert np.array_equal(new.values, [2.0, 8.0, 1.0, 2.0])
 
 
+@pytest.mark.parametrize("n_clients", [3, 4])
+def test_medianavg_leaves_client_weights_unchanged(n_clients):
+    # the median partitions its own stack in place, never a client's weights
+    rng = np.random.Generator(np.random.PCG64(8))
+    ups = [update(cid, rng.standard_normal(4)) for cid in "abcd"[:n_clients]]
+    before = [u.local_params.values.copy() for u in ups]
+    new, _ = run("medianavg", ups)
+    for u, values in zip(ups, before):
+        assert u.local_params.values.tobytes() == values.tobytes()
+    again, _ = run("medianavg", list(reversed(ups)))
+    assert again.values.tobytes() == new.values.tobytes()
+    assert np.array_equal(new.values, np.median(before, axis=0))
+
+
 # ------------------------------------------------------------------- momentum
 
 def test_fedavgm_beta_zero_matches_fedavg():

@@ -247,6 +247,19 @@ def test_run_that_diverges_exits_2_with_one_line(tmp_path, capsys, setting):
     assert not list((tmp_path / "out").rglob("metrics.json"))
 
 
+@pytest.mark.parametrize("setting", ["federated", "centralized"])
+def test_run_that_diverges_leaves_no_empty_directory(tmp_path, setting):
+    # a run's directory is made with its first artifact, once training is done
+    config = write_config(tmp_path, setting=setting, model={
+        "architecture": "mlp", "window_size": 6, "hidden_sizes": [16],
+        "learning_rate": 1.0e300,
+    })
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config)]) == 2
+    dirs = [p for p in [out, *out.rglob("*")] if p.is_dir()]
+    assert [p for p in dirs if not any(p.iterdir())] == []
+
+
 def test_full_chain_generate_run_report(tmp_path, capsys):
     # generate traces, rerun the same experiment from CSV paths, report
     gen_config = write_config(tmp_path)

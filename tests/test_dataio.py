@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -387,6 +389,18 @@ def test_make_windows_content_oracle():
         assert np.array_equal(w.targets[k], ds.values[k + 7, :5])
 
 
+def test_make_windows_inputs_are_a_read_only_view_of_the_series():
+    # window k is rows k..k+T-1 of the series itself, so T windows of a row
+    # cost the row once, and no caller can write through one window into
+    # its neighbours
+    ds = random_dataset(40, seed=9)
+    w = make_windows(ds, 10)
+    assert np.shares_memory(w.inputs, ds.values)
+    assert not w.inputs.flags.writeable
+    with pytest.raises(ValueError):
+        w.inputs[0, 0, 0] = 1.0
+
+
 def test_concat_windows_pools_counts():
     a = make_windows(random_dataset(30, seed=1), 10)
     b = make_windows(random_dataset(25, seed=2), 10)
@@ -453,6 +467,25 @@ def test_pipeline_per_client_percentile_override():
     )
     # client a's train bounds widen, which shifts the negotiated scaler
     assert not np.array_equal(base[0].train.inputs, tweaked[0].train.inputs)
+
+
+def test_pipeline_windows_cost_one_scaled_series():
+    # what the result keeps is each split's scaled series once, plus its
+    # five target columns (1.45 series measured); a copy per window would
+    # keep window_size series (11.7 measured at window_size 10)
+    n = 5000
+    data = [random_dataset(n, seed=i, client_id=f"c{i}") for i in range(2)]
+    config = PreprocessConfig(window_size=10)
+    preprocess_clients(cohort(), config)  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        out = preprocess_clients(data, config)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sum(cw.train.count for cw in out) > 0.5 * len(data) * n
+    series_bytes = len(data) * n * len(FEATURES) * 8
+    assert kept <= 2 * series_bytes
 
 
 def test_pipeline_rejects_duplicate_ids():

@@ -326,6 +326,39 @@ def test_conv2d_relu_is_bitwise_relu_of_conv2d(kernel, padding, channels):
     assert fused == composed
 
 
+@pytest.mark.parametrize("shape", [(0,), (7,), (engine.RELU_CHUNK,),
+                                   (2 * engine.RELU_CHUNK + 3,), (3, 4, 5, 2)])
+def test_in_place_relu_has_the_bits_of_where(shape):
+    # the branch-free ReLU ANDs bits chunk by chunk; the special values are
+    # spread so that some fall on both sides of every chunk boundary
+    specials = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                2.2e-308, -2.2e-308, 1.0, -1.0, 1e308, -1e308]
+    z = rng(16).standard_normal(shape)
+    flat = z.reshape(-1)
+    flat[::5] = np.resize(specials, len(flat[::5]))
+    flat[-len(specials):] = specials[: len(flat)]
+    want = np.where(z > 0, z, 0.0)
+    want_mask = z > 0
+    mask = engine._relu_(z)
+    assert z.tobytes() == want.tobytes()
+    assert np.array_equal(mask, want_mask)
+
+
+@pytest.mark.parametrize("batch", [1, 37, 128])
+def test_mse_has_the_bits_of_mean_square_sub(batch):
+    r = rng(17)
+    pred, target = r.standard_normal((batch, 5)), r.standard_normal((batch, 5))
+    results = []
+    for build in (engine.mse,
+                  lambda p, t: engine.mean_all(engine.square(engine.sub(p, t)))):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in (pred, target)]
+        loss = build(*leaves)
+        loss.backward()
+        results.append([loss.data.tobytes()] + [t.grad.tobytes() for t in leaves])
+    assert results[0] == results[1]
+    check_grads(engine.mse, [pred[:2], target[:2]])
+
+
 def test_diamond_graph_accumulates():
     # y = a*a + a*a: gradient must sum both paths, d/da = 4a
     a = Tensor(np.array([[2.0, -1.5]]), requires_grad=True)

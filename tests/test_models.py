@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fedcast.dataio import make_windows
 from fedcast.nn.models import (
     ARCHITECTURES,
     PREDICT_CHUNK,
@@ -15,6 +16,7 @@ from fedcast.nn.models import (
 )
 from fedcast.nn.params import zeros_like
 from fedcast.nn.training import loss_and_grad
+from helpers import random_dataset
 
 
 # ------------------------------------------------------------ parameter counts
@@ -174,6 +176,22 @@ def test_predict_chunking_matches_forward():
     assert chunked.shape == (n, 5)
     assert np.max(np.abs(chunked - whole)) <= 1e-12
     assert np.array_equal(chunked, predict(spec, pv, x))
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_window_views_give_the_bytes_of_contiguous_windows(arch):
+    # make_windows hands out overlapping read-only views; every model must
+    # see the same numbers, and round the same way, as on a private copy
+    spec = ModelSpec(architecture=arch)
+    pv = init_model(spec, 0)
+    windows = make_windows(random_dataset(60, seed=3), spec.window_size)
+    view = windows.inputs
+    copy = np.ascontiguousarray(view)
+    assert not view.flags.c_contiguous and copy.flags.c_contiguous
+    assert predict(spec, pv, view).tobytes() == predict(spec, pv, copy).tobytes()
+    loss_v, grad_v = loss_and_grad(spec, pv, view, windows.targets)
+    loss_c, grad_c = loss_and_grad(spec, pv, copy, windows.targets)
+    assert loss_v == loss_c and grad_v.tobytes() == grad_c.tobytes()
 
 
 def traced_peak(fn) -> int:
