@@ -1,0 +1,62 @@
+#!/bin/sh
+# Smoke run of the installed `fedcast` console script, which the test suite
+# never starts (its CLI tests call fedcast.cli.main in-process): generate a
+# two-client cohort, run a centralized and a federated config on its CSVs
+# twice each, require each pair of output trees to be identical, and report.
+#
+# Usage: sh .github/cli-smoke.sh [WORK_DIR]   (default: a new temporary dir)
+set -eu
+work=${1:-$(mktemp -d)}
+mkdir -p "$work"
+cd "$work"
+
+cat > cohort.yaml <<'EOF'
+name: smoke-cohort
+setting: centralized
+output_dir: unused
+seeds: [0]
+data:
+  synthetic:
+    seed: 0
+    clients:
+      - {client_id: bs000, days: 1}
+      - {client_id: bs001, days: 1, base_level: 1.2, phase: 1.5}
+model: {architecture: mlp, hidden_sizes: [16]}
+EOF
+fedcast generate --config cohort.yaml --out-dir traces
+
+cat > centralized.yaml <<EOF
+name: smoke-centralized
+setting: centralized
+output_dir: runs/centralized
+seeds: [0, 1]
+data:
+  paths:
+    - $PWD/traces/bs000.csv
+    - $PWD/traces/bs001.csv
+model: {architecture: mlp, hidden_sizes: [16]}
+training: {max_epochs: 2, patience: 2}
+EOF
+cat > federated.yaml <<EOF
+name: smoke-federated
+setting: federated
+output_dir: runs/federated
+seeds: [0]
+data:
+  paths:
+    - $PWD/traces/bs000.csv
+    - $PWD/traces/bs001.csv
+model: {architecture: lstm, recurrent_units: 8, dense_units: 8}
+federation: {rounds: 2, local_epochs: 1}
+aggregator: {strategy: medianavg}
+fine_tune: true
+fine_tune_epochs: 1
+EOF
+
+for setting in centralized federated; do
+  fedcast run --config "$setting.yaml" --output-dir "runs/$setting-a"
+  fedcast run --config "$setting.yaml" --output-dir "runs/$setting-b"
+  diff -r "runs/$setting-a" "runs/$setting-b"
+done
+fedcast report --runs runs/centralized-a runs/federated-a --out plot.csv
+echo "CLI smoke run passed in $work"

@@ -20,7 +20,10 @@ and every strategy ADDS its update to the global weights:
   medianavg          coordinate-wise median of client models
 
 Updates are merged in ascending client-id order regardless of arrival
-order, so aggregation is invariant to update ordering, bit for bit.
+order, so aggregation is invariant to update ordering, bit for bit. An
+update with a NaN or infinite weight is rejected, never merged. simpleavg
+and medianavg reduce blocks of columns, each stacked on its own, so they
+never hold a second copy of every update.
 """
 
 from __future__ import annotations
@@ -62,6 +65,10 @@ TUNING_GRIDS: dict[str, dict[str, list[float]]] = {
     "fedadam": {"server_lr": [1e-2, 1e-1, 1.0],
                 "adaptivity": [1e-4, 1e-3, 1e-2, 1e-1]},
 }
+
+
+# Bytes of one column block that simpleavg and medianavg stack at a time.
+BLOCK_BYTES = 2**20
 
 
 class AggregationError(ValueError):
@@ -163,7 +170,29 @@ def _sorted_updates(
             raise AggregationError(
                 f"{u.client_id}: update does not match the global layout"
             )
+        if not np.isfinite(u.local_params.values).all():
+            raise AggregationError(f"{u.client_id}: update has non-finite weights")
     return sorted(updates, key=lambda u: u.client_id)
+
+
+def _reduce_blocks(reduce, local: Sequence[np.ndarray]) -> np.ndarray:
+    """reduce(stack, axis=0) of the stacked vectors, one column block at a time.
+
+    Each block stacks about BLOCK_BYTES, so the width comes from the number
+    of vectors. A column's result depends only on that column, in the same
+    order as in one full stack, so the bits are those of reducing the full
+    stack. A last block of one column would be reduced in another order, so
+    it joins the block before it.
+    """
+    size = local[0].size
+    width = max(2, BLOCK_BYTES // (8 * len(local)))
+    bounds = list(range(0, size, width)) + [size]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    out = np.empty(size, dtype=np.float64)
+    for lo, hi in zip(bounds, bounds[1:]):
+        out[lo:hi] = reduce(np.stack([w[lo:hi] for w in local]))
+    return out
 
 
 def weighted_delta(
@@ -194,10 +223,12 @@ def aggregate(
     new_second = state.second_moment
 
     if strategy == "simpleavg":
-        new_w = np.stack(local).mean(axis=0)
+        new_w = _reduce_blocks(lambda stack: stack.mean(axis=0), local)
     elif strategy == "medianavg":
-        # the stack is this call's own, so median may partition it in place
-        new_w = np.median(np.stack(local), axis=0, overwrite_input=True)
+        # each block's stack is this call's own, so median may partition it
+        new_w = _reduce_blocks(
+            lambda stack: np.median(stack, axis=0, overwrite_input=True), local
+        )
     elif strategy in ("fedavg", "fedprox"):
         # eta == 1 averages client models directly: exact (not just close)
         # for a single client, and equal to w + dW up to float rounding.

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import os
 from dataclasses import dataclass, field, replace
 from datetime import datetime
@@ -122,14 +123,77 @@ class ScalerParams:
 
 @dataclass(frozen=True)
 class WindowedDataset:
-    """Supervised windows: inputs (m, T, d) and next-step targets (m, 5)."""
+    """Supervised windows over one (n, d) series, addressed by start row.
 
-    inputs: np.ndarray
-    targets: np.ndarray
+    Window k is rows starts[k] .. starts[k] + window_size - 1 of series, and
+    its target is the first n_targets features of the row after it. One
+    client's starts are 0 .. n - window_size - 1; a pooled set concatenates
+    client series and offsets each client's starts, so that no window
+    crosses from one client into the next. No window is stored: inputs
+    (m, T, d) and targets (m, n_targets) are read-only views of series when
+    the starts are consecutive, and gathered copies otherwise; batch
+    gathers the windows at any positions.
+    """
+
+    series: np.ndarray
+    starts: np.ndarray
+    window_size: int
+    n_targets: int = N_TARGETS
+
+    def __post_init__(self) -> None:
+        series = self.series.view()
+        series.flags.writeable = False
+        object.__setattr__(self, "series", series)
+        starts = np.asarray(self.starts, dtype=np.intp)
+        object.__setattr__(self, "starts", starts)
+        if self.window_size < 1:
+            raise ValueError("window_size must be >= 1")
+        if series.ndim != 2 or starts.ndim != 1:
+            raise DimensionError("series must be 2-D and starts 1-D")
+        if starts.size and not (
+            0 <= starts.min() and starts.max() + self.window_size < len(series)
+        ):
+            raise DataError("a window or its target row falls outside the series")
 
     @property
     def count(self) -> int:
-        return len(self.inputs)
+        return len(self.starts)
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    @property
+    def inputs(self) -> np.ndarray:
+        return self._select(self._windows)
+
+    @property
+    def targets(self) -> np.ndarray:
+        return self._select(self.series[self.window_size :, : self.n_targets])
+
+    def batch(self, index) -> tuple[np.ndarray, np.ndarray]:
+        """Inputs and targets of the windows at positions index, gathered."""
+        rows = self.starts[index]
+        targets = self.series[rows + self.window_size, : self.n_targets]
+        return self._windows[rows], targets
+
+    @functools.cached_property
+    def _windows(self) -> np.ndarray:
+        """Every window of the series: window k is rows k..k+T-1."""
+        (n, d), (row, col) = self.series.shape, self.series.strides
+        size = self.window_size
+        return np.lib.stride_tricks.as_strided(
+            self.series, (max(0, n - size + 1), size, d), (row, row, col),
+            writeable=False,
+        )
+
+    def _select(self, rows: np.ndarray) -> np.ndarray:
+        """rows[starts]: a slice of rows when the starts run consecutively."""
+        starts = self.starts
+        if starts.size and starts[-1] - starts[0] == starts.size - 1 and (
+            np.diff(starts) == 1
+        ).all():
+            return rows[starts[0] : starts[-1] + 1]
+        return rows[starts]
 
 
 @dataclass(frozen=True)
@@ -459,37 +523,35 @@ def make_windows(dataset: TimeSeriesDataset, window_size: int) -> WindowedDatase
     windows never cross segment boundaries because each segment is windowed
     separately.
 
-    inputs is a read-only view of dataset.values, not a copy: window k is
-    rows k..k+T-1, which are contiguous there, so the windows cost the
-    series once rather than T times. Fancy indexing (a shuffled batch) or
-    np.ascontiguousarray gives a private copy.
+    The result keeps dataset.values as its series, not a copy, so inputs
+    and targets are read-only views of it: window k is rows k..k+T-1, which
+    are contiguous there, so the windows cost the series once rather than T
+    times. Fancy indexing (a shuffled batch) or np.ascontiguousarray gives a
+    private copy.
     """
-    if window_size < 1:
-        raise ValueError("window_size must be >= 1")
-    values = dataset.values
-    n, d = values.shape
-    m = max(0, n - window_size)
-    if m == 0:
-        return WindowedDataset(
-            inputs=np.empty((0, window_size, d), dtype=np.float64),
-            targets=np.empty((0, N_TARGETS), dtype=np.float64),
-        )
-    slid = np.lib.stride_tricks.sliding_window_view(values, window_size, axis=0)
-    inputs = slid[:m].transpose(0, 2, 1)
-    targets = values[window_size:, :N_TARGETS].copy()
-    return WindowedDataset(inputs=inputs, targets=targets)
+    m = max(0, len(dataset) - window_size)
+    return WindowedDataset(dataset.values, np.arange(m), window_size)
 
 
 def concat_windows(parts: Sequence[WindowedDataset]) -> WindowedDataset:
-    """Pool windows from several clients (centralized setting)."""
+    """Pool windows from several clients (centralized setting).
+
+    The pooled series is the parts' series end to end, and each part's
+    starts are offset by the rows before it, so every series is kept once
+    and no window is copied. A single part is returned as it is.
+    """
     if not parts:
         raise DataError("nothing to concatenate")
-    sizes = {p.inputs.shape[1] for p in parts}
+    sizes = {p.window_size for p in parts}
     if len(sizes) != 1:
         raise DataError(f"window sizes differ: {sorted(sizes)}")
-    return WindowedDataset(
-        inputs=np.concatenate([p.inputs for p in parts], axis=0),
-        targets=np.concatenate([p.targets for p in parts], axis=0),
+    if len(parts) == 1:
+        return parts[0]
+    offsets = np.cumsum([0] + [len(p.series) for p in parts[:-1]])
+    return replace(
+        parts[0],
+        series=np.concatenate([p.series for p in parts]),
+        starts=np.concatenate([p.starts + o for p, o in zip(parts, offsets)]),
     )
 
 

@@ -10,7 +10,9 @@ runs. config_to_dict is the inverse. run_experiment executes every (grid
 cell, seed) pair, writes per-run artifacts (round or epoch CSVs,
 checkpoints, metric JSON), a manifest that reruns the experiment verbatim,
 and a summary with mean/std across seeds. All emitted bytes are
-deterministic: same config, same files.
+deterministic: same config, same files. The one exception is
+environment.json, which records the numpy, BLAS and Python versions and
+thread settings that the bytes can depend on across hosts.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import dataclasses
 import functools
 import itertools
 import json
+import os
+import platform
 import sys
 import typing
 from collections.abc import Mapping
@@ -62,6 +66,8 @@ SETTINGS = ("individual", "centralized", "federated")
 # Client-mean test metrics of a run: RunResult fields, summary mean/std pairs
 # and the final rows of emit_plot_data, in this order.
 HEADLINE_METRICS = ("avg_nrmse", "avg_mae", "avg_rmse")
+# Environment variables that set the BLAS thread count (environment.json).
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class ConfigError(ValueError):
@@ -425,9 +431,12 @@ def _check_windows(config: ExperimentConfig, clients: Sequence[ClientWindows]) -
 def run_experiment(
     config: ExperimentConfig, output_dir: Optional[str] = None
 ) -> ExperimentSummary:
-    """Execute every (grid cell, seed) run and write all artifacts."""
-    datasets = materialize_data(config)
-    clients = preprocess_clients(datasets, config.preprocessing)
+    """Execute every (grid cell, seed) run and write all artifacts.
+
+    The raw traces are released once preprocessing returns: a run holds each
+    client's scaled series, not its trace as well.
+    """
+    clients = preprocess_clients(materialize_data(config), config.preprocessing)
     _check_windows(config, clients)
     spec = config.model
     out_root = Path(output_dir if output_dir is not None else config.output_dir)
@@ -457,7 +466,30 @@ def run_experiment(
             "config": config_to_dict(config),
         },
     )
+    _json_dump(out_root / "environment.json", _environment())
     return summary
+
+
+def _environment() -> dict:
+    """What a run's bytes can depend on besides its config.
+
+    GEMMs that reduce over a batch can round differently with another BLAS
+    build or thread count, so two hosts can write different bytes for one
+    config; this record lets such a difference be explained. It is not part
+    of the manifest, and reruns are not compared on it.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # an older numpy's show_config has no mode
+        blas = {}
+    return {
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
+        "blas_name": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "cpu_count": os.cpu_count(),
+        **{var: os.environ.get(var) for var in BLAS_THREAD_VARIABLES},
+    }
 
 
 def _run_once(

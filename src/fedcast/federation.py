@@ -8,7 +8,9 @@ aggregate the clients' local weights (the server derives each client's
 delta from the weights it broadcast), then evaluate the new global weights
 on every client's validation windows. The centralized setting trains on
 pooled windows through the same epoch loop, with early stopping; the
-individual setting is a centralized run per single client.
+individual setting is a centralized run per single client. Weights that are
+not finite raise DivergenceError where they first appear: after a client's
+local training, after aggregation, and after a centralized run.
 """
 
 from __future__ import annotations
@@ -127,6 +129,16 @@ def sample_clients(
     return [client_ids[i] for i in sorted(chosen)]
 
 
+def _check_finite(params: ParameterVector, what: str) -> None:
+    """Raise DivergenceError unless every weight is finite.
+
+    A NaN weight can hide behind a ReLU, which maps NaN to +0.0, so the
+    losses and validation scores of such weights can still be finite.
+    """
+    if not np.isfinite(params.values).all():
+        raise DivergenceError(f"{what} are not finite")
+
+
 def _check_cohort(clients: Sequence[ClientWindows]) -> None:
     if not clients:
         raise FederationError("cohort is empty")
@@ -147,8 +159,9 @@ def run_federated(
     seed fixes the initial weights, each client's shuffle stream and the
     client sampling. The best round is the one whose post-aggregation global
     scores the lowest validation MSE (sample-weighted over all clients); ties
-    keep the earliest round. A round whose local training or aggregated
-    validation MSE is not finite raises DivergenceError naming the round.
+    keep the earliest round. A round whose local training, local weights,
+    aggregated weights or aggregated validation MSE is not finite raises
+    DivergenceError naming the round (and the client).
     """
     _check_cohort(clients)
     by_id = {c.client_id: c for c in clients}
@@ -188,12 +201,15 @@ def run_federated(
                 )
             except DivergenceError as exc:
                 raise DivergenceError(f"round {r}, client {cid}, {exc}") from exc
+            _check_finite(reports[cid].params,
+                          f"round {r}, client {cid}: local weights")
             trainers[cid] = reports[cid].state
 
         global_pv, server_state = aggregate(aggregator, server_state, global_pv, [
             ClientUpdate(cid, rep.params, by_id[cid].train.count, rep.steps)
             for cid, rep in reports.items()
         ])
+        _check_finite(global_pv, f"round {r}: aggregated weights")
 
         stats: dict[str, ClientRoundStats] = {}
         weighted_mse = 0.0
@@ -254,21 +270,23 @@ def run_centralized(
 
     The shuffle stream is derived from the sorted client ids, so pooling a
     single client trains on that client's own windows and stream: the
-    individual setting is one such run per client.
+    individual setting is one such run per client. The pooled sets keep
+    each client's scaled series once (see concat_windows). Weights that are
+    not finite raise DivergenceError naming the clients.
     """
     _check_cohort(clients)
-    train = concat_windows([c.train for c in clients])
-    validation = concat_windows([c.validation for c in clients])
     cohort_id = "+".join(sorted(c.client_id for c in clients))
-    return train_with_early_stopping(
+    report = train_with_early_stopping(
         spec,
         init_model(spec, seed),
-        train,
-        validation,
+        concat_windows([c.train for c in clients]),
+        concat_windows([c.validation for c in clients]),
         max_epochs,
         patience,
         seed=client_stream_seed(seed, cohort_id),
     )
+    _check_finite(report.params, f"clients {cohort_id}: trained weights")
+    return report
 
 
 def fine_tune(

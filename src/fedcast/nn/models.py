@@ -13,6 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
+from fedcast.dataio import WindowedDataset
 from fedcast.nn import engine as eg
 from fedcast.nn.engine import Tensor
 from fedcast.nn.params import Layout, ParameterVector, TensorSpec
@@ -179,20 +180,28 @@ def leaf_tensors(params: ParameterVector) -> dict[str, Tensor]:
     }
 
 
-def predict(spec: ModelSpec, params: ParameterVector, inputs: np.ndarray) -> np.ndarray:
+def predict(
+    spec: ModelSpec, params: ParameterVector, inputs: np.ndarray | WindowedDataset
+) -> np.ndarray:
     """Predict (batch, n_targets) in chunks of PREDICT_CHUNK windows.
 
-    The graph of one chunk is dropped before the next is built, so peak
-    memory is bounded by the chunk, not by len(inputs). Chunked matmuls can
-    round differently from one full-batch forward_graph call, so agreement
-    with it is to float precision, not bitwise; the chunk boundaries depend
-    only on the input length, so repeated calls are bit-identical.
+    inputs is a (batch, T, d) array or a WindowedDataset, whose windows are
+    gathered one chunk at a time. The graph of one chunk is dropped before
+    the next is built, so peak memory is bounded by the chunk, not by
+    len(inputs). Chunked matmuls can round differently from one full-batch
+    forward_graph call, so agreement with it is to float precision, not
+    bitwise; the chunk boundaries depend only on the input length, so
+    repeated calls are bit-identical.
     """
-    x = np.asarray(inputs, dtype=np.float64)
+    if isinstance(inputs, WindowedDataset):
+        def chunk(part: slice) -> np.ndarray:
+            return inputs.batch(part)[0]
+    else:
+        chunk = np.asarray(inputs, dtype=np.float64).__getitem__
     constants = {t.name: Tensor(params.view(t.name)) for t in params.layout.tensors}
     parts = [
-        forward_graph(spec, constants, x[i : i + PREDICT_CHUNK]).data
+        forward_graph(spec, constants, chunk(slice(i, i + PREDICT_CHUNK))).data
         # at least one chunk, so zero windows give a (0, n_targets) result
-        for i in range(0, max(len(x), 1), PREDICT_CHUNK)
+        for i in range(0, max(len(inputs), 1), PREDICT_CHUNK)
     ]
     return np.concatenate(parts, axis=0)

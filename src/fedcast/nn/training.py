@@ -107,11 +107,12 @@ def evaluate(
 ) -> tuple[float, float]:
     """(MSE, MAE) over all target elements, in the windows' own units.
 
-    Scores predict's output, so memory stays bounded by its chunk.
+    Scores predict's output, which gathers the windows a chunk at a time,
+    so memory stays bounded by its chunk.
     """
     if windows.count == 0:
         raise ValueError("cannot evaluate on zero windows")
-    pred = predict(spec, params, windows.inputs)
+    pred = predict(spec, params, windows)
     err = pred - windows.targets
     return float(np.mean(err * err)), float(np.mean(np.abs(err)))
 
@@ -183,7 +184,7 @@ def _run_epoch(
     for lo in range(0, n, spec.batch_size):
         idx = perm[lo : lo + spec.batch_size]
         pv = ParameterVector(values, layout)
-        loss, grad = loss_and_grad(spec, pv, train.inputs[idx], train.targets[idx])
+        loss, grad = loss_and_grad(spec, pv, *train.batch(idx))
         if proximal_mu > 0.0:
             # FedProx anchor: mu/2 * ||w - w_anchor||^2 added to every batch
             # objective. Skipped entirely at mu == 0 so FedProx(0) stays

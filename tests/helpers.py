@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from fedcast import federation
 from fedcast.dataio import FEATURES, TimeSeriesDataset, WindowedDataset
 
 
@@ -32,4 +33,40 @@ def random_windows(m, window_size=10, d=len(FEATURES), seed=0, scale=1.0):
     rng = np.random.Generator(np.random.PCG64(seed))
     inputs = rng.uniform(0.0, scale, size=(m, window_size, d))
     targets = inputs[:, -1, :5] + 0.01 * rng.standard_normal((m, 5))
-    return WindowedDataset(inputs=inputs, targets=targets)
+    return windows_of(inputs, targets)
+
+
+def windows_of(inputs, targets):
+    """The WindowedDataset whose window k is inputs[k] with target targets[k].
+
+    Each window is its own series of T + 1 rows: its T input rows, then a
+    row that holds its target in the first columns and zeros after them.
+    """
+    inputs = np.asarray(inputs, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    m, size, d = inputs.shape
+    series = np.zeros((m, size + 1, d))
+    series[:, :size] = inputs
+    series[:, size, : targets.shape[1]] = targets
+    return WindowedDataset(
+        series.reshape(m * (size + 1), d), np.arange(m) * (size + 1), size,
+        n_targets=targets.shape[1],
+    )
+
+
+def nan_in_hidden_unit(monkeypatch, client_id, seed, unit=3):
+    """Make one client's local training return NaN in one fc0.w hidden unit.
+
+    The MLP's ReLU maps the unit's NaN pre-activation to +0.0, so its
+    predictions, losses and validation scores stay finite.
+    """
+    real = federation.train_local
+    target = federation.client_stream_seed(seed, client_id)
+
+    def train_local(*args, **kwargs):
+        report = real(*args, **kwargs)
+        if kwargs["seed"] == target:
+            report.params.view("fc0.w")[:, unit] = np.nan
+        return report
+
+    monkeypatch.setattr(federation, "train_local", train_local)

@@ -1,8 +1,12 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedcast import aggregation
 from fedcast.aggregation import (
     STRATEGIES,
     STRATEGY_FIELDS,
@@ -345,3 +349,69 @@ def test_aggregate_is_update_order_invariant(strategy):
     b, sb = aggregate(AggregatorConfig(strategy), state, pv(g), list(reversed(ups)))
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(sa.momentum, sb.momentum)
+
+
+finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def update_sets(draw):
+    """Global weights, server state and 1-5 client updates of one size."""
+    size = draw(st.integers(1, 9))
+    vector = st.lists(finite, min_size=size, max_size=size)
+    cids = draw(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=5,
+                         unique=True))
+    ups = [
+        update(cid, draw(vector), n=draw(st.integers(1, 50)),
+               steps=draw(st.integers(1, 9)))
+        for cid in cids
+    ]
+    momentum = np.array(draw(vector))
+    second = np.abs(np.array(draw(vector)))
+    return draw(vector), ServerState(momentum, second), ups
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@settings(deadline=None, max_examples=60)
+@given(case=update_sets(), data=st.data())
+def test_any_update_order_gives_the_same_bytes(strategy, case, data):
+    g, state, ups = case
+    order = data.draw(st.permutations(ups))
+    config = AggregatorConfig(strategy)
+    a, sa = aggregate(config, state, pv(g), ups)
+    b, sb = aggregate(config, state, pv(g), order)
+    assert a.values.tobytes() == b.values.tobytes()
+    assert sa.momentum.tobytes() == sb.momentum.tobytes()
+    assert sa.second_moment.tobytes() == sb.second_moment.tobytes()
+
+
+@pytest.mark.parametrize("strategy", ["simpleavg", "medianavg"])
+@pytest.mark.parametrize("n_clients", [1, 2, 5, 8, 9, 16])
+@pytest.mark.parametrize("width", [2, 3, 7])
+def test_column_blocks_give_the_bits_of_one_full_stack(strategy, n_clients, width):
+    # sizes on, just past and just short of block boundaries, including a
+    # last block of one column; signed zeros and wide magnitudes included
+    rng = np.random.Generator(np.random.PCG64(n_clients * 10 + width))
+    full = {
+        "simpleavg": lambda stack: np.mean(stack, axis=0),
+        "medianavg": lambda stack: np.median(stack, axis=0),
+    }[strategy]
+    for size in (1, 2, width - 1, width, width + 1, 2 * width, 2 * width + 1, 50):
+        if size < 1:
+            continue
+        local = rng.standard_normal((n_clients, size)) * 10.0 ** rng.integers(
+            -6, 6, (n_clients, size))
+        local[rng.random(local.shape) < 0.1] = -0.0
+        local[rng.random(local.shape) < 0.1] = 0.0
+        ups = [update(f"c{i:02d}", row) for i, row in enumerate(local)]
+        with mock.patch.object(aggregation, "BLOCK_BYTES", 8 * n_clients * width):
+            got, _ = run(strategy, ups, global_values=np.zeros(size))
+        assert got.values.tobytes() == full(local.copy()).tobytes(), size
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_update_is_rejected_naming_the_client(strategy, bad):
+    ups = [update("a", [1.0, 2.0, 3.0, 4.0]), update("b", [1.0, bad, 3.0, 4.0])]
+    with pytest.raises(AggregationError, match="b: update has non-finite"):
+        run(strategy, ups)

@@ -5,6 +5,7 @@ import yaml
 
 from fedcast.cli import main
 from fedcast.dataio import FEATURES, load_csv
+from helpers import nan_in_hidden_unit
 
 
 def write_config(tmp_path, setting="federated", **overrides):
@@ -245,6 +246,18 @@ def test_run_that_diverges_exits_2_with_one_line(tmp_path, capsys, setting):
     assert err.startswith("error: ") and "epoch 0" in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not list((tmp_path / "out").rglob("metrics.json"))
+
+
+def test_nan_weights_behind_a_relu_exit_2_with_one_line(tmp_path, capsys,
+                                                        monkeypatch):
+    # the MLP still predicts finite values with NaN in one hidden unit, so
+    # only the check of the weights themselves can refuse them
+    nan_in_hidden_unit(monkeypatch, "bs001", seed=0)
+    config = write_config(tmp_path)
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: round 0, client bs001: local weights are not finite\n"
+    assert not list((tmp_path / "out").rglob("checkpoint*.bin"))
 
 
 @pytest.mark.parametrize("setting", ["federated", "centralized"])

@@ -401,6 +401,29 @@ def test_make_windows_inputs_are_a_read_only_view_of_the_series():
         w.inputs[0, 0, 0] = 1.0
 
 
+def test_make_windows_targets_are_a_read_only_view_of_the_series():
+    ds = random_dataset(40, seed=9)
+    w = make_windows(ds, 10)
+    assert np.shares_memory(w.targets, ds.values)
+    assert np.array_equal(w.targets, ds.values[10:, :5])
+    assert not w.targets.flags.writeable
+
+
+def test_pooled_windows_are_the_parts_windows_over_one_series():
+    parts = [make_windows(random_dataset(n, seed=n), 10) for n in (30, 12, 10, 25)]
+    pooled = concat_windows(parts)
+    assert pooled.series.shape == (30 + 12 + 10 + 25, 11)
+    assert np.array_equal(pooled.inputs, np.concatenate([p.inputs for p in parts]))
+    assert np.array_equal(pooled.targets, np.concatenate([p.targets for p in parts]))
+    # a batch gathered through the starts is the same windows in that order
+    idx = np.array([36, 0, 21, 19, 22, 5])
+    inputs, targets = pooled.batch(idx)
+    assert np.array_equal(inputs, pooled.inputs[idx])
+    assert np.array_equal(targets, pooled.targets[idx])
+    # one client pooled alone is that client's set, not a copy
+    assert concat_windows(parts[:1]) is parts[0]
+
+
 def test_concat_windows_pools_counts():
     a = make_windows(random_dataset(30, seed=1), 10)
     b = make_windows(random_dataset(25, seed=2), 10)

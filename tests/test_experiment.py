@@ -1,6 +1,8 @@
 import csv
+import gc
 import json
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -494,6 +496,48 @@ def test_rerun_from_manifest_is_byte_identical(tmp_path):
     for rel in ("base/seed-0/rounds.csv", "base/seed-0/checkpoint.bin",
                 "base/seed-0/metrics.json", "summary.json"):
         assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+
+
+def test_run_keeps_no_raw_trace_after_preprocessing(tmp_path, monkeypatch):
+    # once preprocess_clients returns, a run holds each client's scaled
+    # series only, not the trace it was made from
+    traces = []
+    alive = []
+    real_materialize, real_run_once = experiment.materialize_data, experiment._run_once
+
+    def materialize(config):
+        datasets = real_materialize(config)
+        traces.extend(weakref.ref(obj) for ds in datasets for obj in (ds, ds.values))
+        return datasets
+
+    def run_once(*args, **kwargs):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in traces))
+        return real_run_once(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "materialize_data", materialize)
+    monkeypatch.setattr(experiment, "_run_once", run_once)
+    run_experiment(tiny_config(tmp_path))
+    assert len(traces) == 4
+    assert alive == [0]
+
+
+def test_environment_record_is_outside_the_manifest_and_the_report(tmp_path):
+    config = tiny_config(tmp_path)
+    run_experiment(config)
+    out = Path(config.output_dir)
+    env = json.loads((out / "environment.json").read_text())
+    assert set(env) == {
+        "python_version", "numpy_version", "blas_name", "blas_version",
+        "cpu_count", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+    }
+    assert env["numpy_version"] == np.__version__
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == {"format", "package_version", "config"}
+    emit_plot_data([out], tmp_path / "before.csv")
+    (out / "environment.json").write_text("not a record")
+    emit_plot_data([out], tmp_path / "after.csv")
+    assert (tmp_path / "before.csv").read_bytes() == (tmp_path / "after.csv").read_bytes()
 
 
 # ----------------------------------------------------------------- plot data

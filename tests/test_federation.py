@@ -1,12 +1,20 @@
 import csv
 import dataclasses
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
+from fedcast import federation
 from fedcast.aggregation import AggregatorConfig
-from fedcast.dataio import ClientWindows, ScalerParams, WindowedDataset
+from fedcast.dataio import (
+    FEATURES,
+    ClientWindows,
+    PreprocessConfig,
+    ScalerParams,
+    preprocess_clients,
+)
 from fedcast.experiment import _write_rounds_csv
 from fedcast.federation import (
     FederationConfig,
@@ -28,6 +36,8 @@ from fedcast.nn.training import (
     train_with_early_stopping,
 )
 
+from helpers import nan_in_hidden_unit, random_dataset, windows_of
+
 SPEC = ModelSpec(
     architecture="mlp", window_size=4, n_features=3, n_targets=2,
     hidden_sizes=(8,), batch_size=8,
@@ -40,7 +50,7 @@ def windows(m, seed, spec=SPEC):
     targets = inputs[:, -1, : spec.n_targets] + 0.01 * rng.standard_normal(
         (m, spec.n_targets)
     )
-    return WindowedDataset(inputs=inputs, targets=targets)
+    return windows_of(inputs, targets)
 
 
 def client(cid, n_train=24, n_val=8, n_test=8, seed=0):
@@ -192,6 +202,72 @@ def test_session_that_diverges_names_the_round():
                            match="round 0: aggregated validation MSE"):
             run_federated(dataclasses.replace(spec, batch_size=24), cohort,
                           fed(rounds=2), FEDAVG)
+
+
+def test_nan_weights_behind_a_relu_are_caught_after_local_training(monkeypatch):
+    nan_in_hidden_unit(monkeypatch, "b", seed=5)
+    cohort = [client("a"), client("b"), client("c")]
+    with pytest.raises(DivergenceError,
+                       match="round 0, client b: local weights are not finite"):
+        run_federated(SPEC, cohort, fed(rounds=2), FEDAVG, seed=5)
+
+
+def test_aggregated_weights_that_overflow_are_caught(monkeypatch):
+    # finite local weights whose plain sum overflows to inf
+    real = federation.train_local
+
+    def huge(*args, **kwargs):
+        report = real(*args, **kwargs)
+        report.params.values[:] = 1.5e308
+        return report
+
+    monkeypatch.setattr(federation, "train_local", huge)
+    with np.errstate(over="ignore"), pytest.raises(
+        DivergenceError, match="round 0: aggregated weights are not finite"
+    ):
+        run_federated(SPEC, [client("a"), client("b")], fed(rounds=1),
+                      AggregatorConfig("simpleavg"))
+
+
+def test_centralized_weights_that_are_not_finite_raise(monkeypatch):
+    real = federation.train_with_early_stopping
+
+    def poisoned(*args, **kwargs):
+        report = real(*args, **kwargs)
+        report.params.view("fc0.w")[:, 0] = np.nan
+        return report
+
+    monkeypatch.setattr(federation, "train_with_early_stopping", poisoned)
+    with pytest.raises(DivergenceError,
+                       match=r"clients a\+b: trained weights are not finite"):
+        run_centralized(SPEC, [client("b"), client("a")], 2, 2)
+
+
+def test_pooled_sets_keep_each_scaled_series_once(monkeypatch):
+    # the pooled train and validation sets keep the clients' scaled series
+    # end to end plus one start row per window; copying each window would
+    # keep window_size times the series
+    n = 5000
+    data = [random_dataset(n, seed=i, client_id=f"c{i}") for i in range(2)]
+    clients = preprocess_clients(data, PreprocessConfig(window_size=10))
+    spec = ModelSpec(architecture="mlp", hidden_sizes=(4,))
+    traced = []
+
+    def measure(spec, params, train, validation, *args, **kwargs):
+        traced.append(tracemalloc.get_traced_memory()[0])
+        return train_local(spec, params, train, epochs=0)
+
+    monkeypatch.setattr(federation, "train_with_early_stopping", measure)
+    run_centralized(spec, clients[:1], 1, 1)  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_centralized(spec, clients, 1, 1)
+    finally:
+        tracemalloc.stop()
+    # 60 % train and 20 % validation rows of each client, scaled
+    series_bytes = len(data) * int(0.8 * n) * len(FEATURES) * 8
+    assert traced[-1] - before <= 2 * series_bytes
 
 
 def test_round_records_account_participation():

@@ -3,7 +3,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fedcast.dataio import WindowedDataset
 from fedcast.nn.models import ModelSpec, init_model, layout_for
 from fedcast.nn.params import ParameterVector, zeros_like
 from fedcast.nn.training import (
@@ -17,7 +16,7 @@ from fedcast.nn.training import (
     train_local,
     train_with_early_stopping,
 )
-from helpers import random_windows
+from helpers import random_windows, windows_of
 
 
 SMALL = ModelSpec(architecture="mlp", hidden_sizes=(8,), batch_size=16)
@@ -274,8 +273,8 @@ def test_early_stopping_stops_before_max_epochs():
     # so validation MSE rises after the first epoch: patience 2 stops the
     # run after its third of 20 epochs and keeps the first epoch's weights
     train = random_windows(40, seed=14)
-    train = WindowedDataset(train.inputs, np.full_like(train.targets, 5.0))
-    val = WindowedDataset(train.inputs[:10], np.full((10, 5), -5.0))
+    train = windows_of(train.inputs, np.full_like(train.targets, 5.0))
+    val = windows_of(train.inputs[:10], np.full((10, 5), -5.0))
     pv = init_model(SMALL, 3)
     report = train_with_early_stopping(SMALL, pv, train, val, max_epochs=20,
                                        patience=2, seed=6)
