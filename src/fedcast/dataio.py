@@ -5,8 +5,9 @@ eleven numeric traffic features in a fixed schema order. Preprocessing runs
 in a fixed order per client: missing-value cleansing, chronological 60/20/20
 split, outlier flooring/capping fitted on the training split only, min-max
 scaling (per-client or negotiated across clients), and sliding-window
-supervision. Every function here is pure and deterministic: re-running the
-pipeline on the same input yields bit-identical arrays.
+supervision. Past ingest, each client works in one buffer that the stages
+split into views, cap and scale in place; re-running the pipeline on the
+same input yields bit-identical arrays.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class DimensionError(DataError):
 
 @dataclass(frozen=True)
 class TimeSeriesDataset:
-    """A single client's multivariate series.
+    """A single client's multivariate series, as ingested or generated.
 
     values is (n, d) float64; timestamps is (n,) datetime64[s], strictly
     increasing and aligned row-for-row with values.
@@ -94,15 +95,6 @@ class TimeSeriesDataset:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-@dataclass(frozen=True)
-class SplitDataset:
-    """Chronological train/validation/test partition of one client's series."""
-
-    train: TimeSeriesDataset
-    validation: TimeSeriesDataset
-    test: TimeSeriesDataset
 
 
 @dataclass(frozen=True)
@@ -389,43 +381,29 @@ def _atomic_open(path: Path, mode: str = "w", **kwargs):
         raise
 
 
-def clean_missing(dataset: TimeSeriesDataset) -> TimeSeriesDataset:
-    """Replace NaN/inf cells with 0.0; finite values pass through unchanged."""
-    values = np.where(np.isfinite(dataset.values), dataset.values, 0.0)
-    return replace(dataset, values=values)
+def clean_missing(values: np.ndarray) -> np.ndarray:
+    """A copy of values with NaN/inf cells set to 0.0; finite cells unchanged."""
+    return np.where(np.isfinite(values), values, 0.0)
 
 
-def split_chronological(dataset: TimeSeriesDataset) -> SplitDataset:
-    """Partition into floor(0.6 n) train, floor(0.2 n) validation, rest test.
+def split_chronological(values: np.ndarray) -> list[np.ndarray]:
+    """Row views of floor(0.6 n) train, floor(0.2 n) validation, rest test.
 
-    Order is preserved; the three segments concatenate back to the source.
+    Order is preserved and the three views tile values, so a stage that
+    writes to one of them writes to values.
     """
-    n = len(dataset)
+    n = len(values)
     if n < 5:
-        raise TooShortError(
-            f"{dataset.client_id}: need at least 5 rows to split, have {n}"
-        )
+        raise TooShortError(f"need at least 5 rows to split, have {n}")
     n_train = int(np.floor(TRAIN_FRACTION * n))
     n_val = int(np.floor(VALIDATION_FRACTION * n))
-
-    def segment(lo: int, hi: int) -> TimeSeriesDataset:
-        return replace(
-            dataset,
-            timestamps=dataset.timestamps[lo:hi],
-            values=dataset.values[lo:hi].copy(),
-        )
-
-    return SplitDataset(
-        train=segment(0, n_train),
-        validation=segment(n_train, n_train + n_val),
-        test=segment(n_train + n_val, n),
-    )
+    return np.split(values, [n_train, n_train + n_val])
 
 
 def fit_flood_cap(
-    train: TimeSeriesDataset, lower_percentile: float, upper_percentile: float
+    train: np.ndarray, lower_percentile: float, upper_percentile: float
 ) -> FloodCapParams:
-    """Fit per-feature clamp bounds from a TRAINING split.
+    """Fit per-feature clamp bounds from the (n, d) rows of a TRAINING split.
 
     Percentiles use sorted linear interpolation (numpy default). Fitting on
     anything but the training segment leaks the future into the bounds, so
@@ -433,32 +411,29 @@ def fit_flood_cap(
     """
     _check_percentiles(lower_percentile, upper_percentile)
     if len(train) == 0:
-        raise TooShortError(f"{train.client_id}: cannot fit percentiles on 0 rows")
-    cuts = np.percentile(
-        train.values, [lower_percentile, upper_percentile], axis=0
-    )
+        raise TooShortError("cannot fit percentiles on 0 rows")
+    cuts = np.percentile(train, [lower_percentile, upper_percentile], axis=0)
     return FloodCapParams(lower=cuts[0], upper=cuts[1])
 
 
-def apply_flood_cap(
-    dataset: TimeSeriesDataset, params: FloodCapParams
-) -> TimeSeriesDataset:
-    """Clamp every feature into [lower, upper]. Idempotent."""
-    if dataset.values.shape[1] != len(params.lower):
+def _check_features(values: np.ndarray, bounds: np.ndarray) -> None:
+    if values.shape[1] != len(bounds):
         raise DimensionError(
-            f"dataset has {dataset.values.shape[1]} features, "
-            f"clamp bounds have {len(params.lower)}"
+            f"array has {values.shape[1]} features, the bounds have {len(bounds)}"
         )
-    values = np.clip(dataset.values, params.lower, params.upper)
-    return replace(dataset, values=values)
 
 
-def fit_scaler(train: TimeSeriesDataset) -> ScalerParams:
-    """Per-feature min/max from a training split (local scope)."""
+def apply_flood_cap(values: np.ndarray, params: FloodCapParams) -> None:
+    """Clamp every feature of values into [lower, upper] in place. Idempotent."""
+    _check_features(values, params.lower)
+    np.clip(values, params.lower, params.upper, out=values)
+
+
+def fit_scaler(train: np.ndarray) -> ScalerParams:
+    """Per-feature min/max of the (n, d) rows of a training split (local scope)."""
     if len(train) == 0:
-        raise TooShortError(f"{train.client_id}: cannot fit a scaler on 0 rows")
-    return ScalerParams(minimum=train.values.min(axis=0),
-                        maximum=train.values.max(axis=0))
+        raise TooShortError("cannot fit a scaler on 0 rows")
+    return ScalerParams(minimum=train.min(axis=0), maximum=train.max(axis=0))
 
 
 def negotiate_global_scaler(scalers: Sequence[ScalerParams]) -> ScalerParams:
@@ -480,33 +455,22 @@ def negotiate_global_scaler(scalers: Sequence[ScalerParams]) -> ScalerParams:
     return ScalerParams(minimum=minimum, maximum=maximum)
 
 
-def scale(dataset: TimeSeriesDataset, scaler: ScalerParams) -> TimeSeriesDataset:
-    """Min-max scale each feature; degenerate features (min == max) map to 0.
+def scale_array(values: np.ndarray, scaler: ScalerParams) -> None:
+    """Min-max scale each feature in place; degenerate ones (min == max) map to 0.
 
     Values outside the fitted range (validation/test rows can exceed the
     train bounds) land outside [0, 1]; that is intended.
     """
-    values = scale_array(dataset.values, scaler)
-    return replace(dataset, values=values)
-
-
-def scale_array(values: np.ndarray, scaler: ScalerParams) -> np.ndarray:
-    if values.shape[1] != len(scaler.minimum):
-        raise DimensionError(
-            f"array has {values.shape[1]} features, scaler has {len(scaler.minimum)}"
-        )
+    _check_features(values, scaler.minimum)
     span = scaler.maximum - scaler.minimum
-    safe = np.where(span > 0, span, 1.0)
-    scaled = (values - scaler.minimum) / safe
-    return np.where(span > 0, scaled, 0.0)
+    values -= scaler.minimum
+    values /= np.where(span > 0, span, 1.0)
+    values[:, ~(span > 0)] = 0.0
 
 
 def inverse_scale_array(values: np.ndarray, scaler: ScalerParams) -> np.ndarray:
     """Undo scale_array. Degenerate features return the fitted minimum."""
-    if values.shape[1] != len(scaler.minimum):
-        raise DimensionError(
-            f"array has {values.shape[1]} features, scaler has {len(scaler.minimum)}"
-        )
+    _check_features(values, scaler.minimum)
     span = scaler.maximum - scaler.minimum
     return values * span + scaler.minimum
 
@@ -517,20 +481,20 @@ def target_scaler(scaler: ScalerParams) -> ScalerParams:
                         maximum=scaler.maximum[:N_TARGETS])
 
 
-def make_windows(dataset: TimeSeriesDataset, window_size: int) -> WindowedDataset:
-    """Sliding supervision: window k = rows [k, k+T), target = row k+T's
-    first five features. A segment of n rows yields max(0, n - T) pairs;
-    windows never cross segment boundaries because each segment is windowed
-    separately.
+def make_windows(values: np.ndarray, window_size: int) -> WindowedDataset:
+    """Sliding supervision over (n, d) rows: window k = rows [k, k+T),
+    target = row k+T's first five features. A segment of n rows yields
+    max(0, n - T) pairs; windows never cross segment boundaries because
+    each segment is windowed separately.
 
-    The result keeps dataset.values as its series, not a copy, so inputs
-    and targets are read-only views of it: window k is rows k..k+T-1, which
-    are contiguous there, so the windows cost the series once rather than T
+    The result keeps values as its series, not a copy, so inputs and
+    targets are read-only views of it: window k is rows k..k+T-1, which are
+    contiguous there, so the windows cost the series once rather than T
     times. Fancy indexing (a shuffled batch) or np.ascontiguousarray gives a
     private copy.
     """
-    m = max(0, len(dataset) - window_size)
-    return WindowedDataset(dataset.values, np.arange(m), window_size)
+    m = max(0, len(values) - window_size)
+    return WindowedDataset(values, np.arange(m), window_size)
 
 
 def concat_windows(parts: Sequence[WindowedDataset]) -> WindowedDataset:
@@ -564,6 +528,7 @@ def preprocess_clients(
     to train only) -> scale -> window. With scaling_scope="global" the
     per-client train-fitted bounds are negotiated elementwise across the
     cohort before any scaling happens; with "local" each client uses its own.
+    A client's splits are views of the one buffer clean_missing copies it to.
     """
     if not datasets:
         raise DataError("no clients to preprocess")
@@ -577,28 +542,32 @@ def preprocess_clients(
             f"cohort: {unknown}"
         )
 
-    splits: list[tuple[TimeSeriesDataset, ...]] = []
+    splits: list[tuple[np.ndarray, list[np.ndarray]]] = []
     scalers: list[ScalerParams] = []
     for ds in datasets:
-        split = split_chronological(clean_missing(ds))
-        train = split.train
+        values = clean_missing(ds.values)
+        try:
+            parts = split_chronological(values)
+        except TooShortError as exc:
+            raise TooShortError(f"{ds.client_id}: {exc}") from None
         if config.use_flood_cap:
             lo, hi = config.per_client_percentiles.get(
                 ds.client_id,
                 (config.lower_percentile, config.upper_percentile),
             )
-            train = apply_flood_cap(train, fit_flood_cap(train, lo, hi))
-        splits.append((train, split.validation, split.test))
-        scalers.append(fit_scaler(train))
+            apply_flood_cap(parts[0], fit_flood_cap(parts[0], lo, hi))
+        splits.append((values, parts))
+        scalers.append(fit_scaler(parts[0]))
 
     if config.scaling_scope == "global":
         scalers = [negotiate_global_scaler(scalers)] * len(datasets)
 
-    return [
-        ClientWindows(
+    clients = []
+    for ds, (values, parts), scaler in zip(datasets, splits, scalers):
+        scale_array(values, scaler)
+        clients.append(ClientWindows(
             ds.client_id,
-            *(make_windows(scale(part, scaler), config.window_size) for part in parts),
+            *(make_windows(part, config.window_size) for part in parts),
             scaler=scaler,
-        )
-        for ds, parts, scaler in zip(datasets, splits, scalers)
-    ]
+        ))
+    return clients

@@ -93,10 +93,6 @@ class ParameterVector:
         return len(self.values)
 
 
-def zeros_like(layout: Layout) -> ParameterVector:
-    return ParameterVector(np.zeros(layout.size, dtype=np.float64), layout)
-
-
 def payload_nbytes(layout: Layout) -> int:
     """Bytes of the raw weight payload (8 per float64 parameter)."""
     return 8 * layout.size

@@ -4,6 +4,7 @@ import numpy as np
 
 from fedcast import federation
 from fedcast.dataio import FEATURES, TimeSeriesDataset, WindowedDataset
+from fedcast.nn.params import Layout, ParameterVector
 
 
 def make_dataset(values, client_id="c0", features=None, start="2018-01-01T00:00:00"):
@@ -26,6 +27,11 @@ def make_dataset(values, client_id="c0", features=None, start="2018-01-01T00:00:
 def random_dataset(n, d=len(FEATURES), seed=0, client_id="c0"):
     rng = np.random.Generator(np.random.PCG64(seed))
     return make_dataset(rng.uniform(0.0, 10.0, size=(n, d)), client_id=client_id)
+
+
+def zeros_like(layout: Layout) -> ParameterVector:
+    """A parameter vector of the layout's size, all zeros."""
+    return ParameterVector(np.zeros(layout.size, dtype=np.float64), layout)
 
 
 def random_windows(m, window_size=10, d=len(FEATURES), seed=0, scale=1.0):

@@ -229,6 +229,18 @@ def test_run_rejects_unreadable_data_path(tmp_path, capsys, kind):
     assert not out_dir.exists()
 
 
+def test_run_rejects_a_trace_too_short_to_split(tmp_path, capsys):
+    path = tmp_path / "bs000.csv"
+    rows = [f"2018-01-01T00:0{i}:00," + ",".join(["1.0"] * len(FEATURES))
+            for i in range(4)]
+    path.write_text("\n".join([",".join(("time",) + FEATURES)] + rows) + "\n")
+    config = write_config(tmp_path, setting="centralized", data={"paths": [str(path)]})
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: bs000: need at least 5 rows to split, have 4\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_missing_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.yaml")]) == 2
     assert "error:" in capsys.readouterr().err

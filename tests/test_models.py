@@ -14,9 +14,8 @@ from fedcast.nn.models import (
     layout_for,
     predict,
 )
-from fedcast.nn.params import zeros_like
 from fedcast.nn.training import loss_and_grad
-from helpers import random_dataset
+from helpers import random_dataset, zeros_like
 
 
 # ------------------------------------------------------------ parameter counts
@@ -184,7 +183,7 @@ def test_window_views_give_the_bytes_of_contiguous_windows(arch):
     # see the same numbers, and round the same way, as on a private copy
     spec = ModelSpec(architecture=arch)
     pv = init_model(spec, 0)
-    windows = make_windows(random_dataset(60, seed=3), spec.window_size)
+    windows = make_windows(random_dataset(60, seed=3).values, spec.window_size)
     view = windows.inputs
     copy = np.ascontiguousarray(view)
     assert not view.flags.c_contiguous and copy.flags.c_contiguous

@@ -10,8 +10,8 @@ from fedcast.nn.params import (
     deserialize_params,
     payload_nbytes,
     serialize_params,
-    zeros_like,
 )
+from helpers import zeros_like
 
 
 def toy_layout():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedcast.nn.models import ModelSpec, init_model, layout_for
-from fedcast.nn.params import ParameterVector, zeros_like
+from fedcast.nn.params import ParameterVector
 from fedcast.nn.training import (
     AdamState,
     DivergenceError,
@@ -16,7 +16,7 @@ from fedcast.nn.training import (
     train_local,
     train_with_early_stopping,
 )
-from helpers import random_windows, windows_of
+from helpers import random_windows, windows_of, zeros_like
 
 
 SMALL = ModelSpec(architecture="mlp", hidden_sizes=(8,), batch_size=16)
