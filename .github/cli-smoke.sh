@@ -1,8 +1,10 @@
 #!/bin/sh
 # Smoke run of the installed `fedcast` console script, which the test suite
 # never starts (its CLI tests call fedcast.cli.main in-process): generate a
-# two-client cohort, run a centralized and a federated config on its CSVs
-# twice each, require each pair of output trees to be identical, and report.
+# two-client cohort, run a centralized, a federated and an adaptive-server
+# federated config (fedadam over a two-cell server_lr grid, a server rule
+# that no benchmark workload runs) on its CSVs twice each, require each pair
+# of output trees to be identical, and report.
 #
 # Usage: sh .github/cli-smoke.sh [WORK_DIR]   (default: a new temporary dir)
 set -eu
@@ -52,11 +54,25 @@ aggregator: {strategy: medianavg}
 fine_tune: true
 fine_tune_epochs: 1
 EOF
+cat > adaptive.yaml <<EOF
+name: smoke-adaptive
+setting: federated
+output_dir: runs/adaptive
+seeds: [0]
+data:
+  paths:
+    - $PWD/traces/bs000.csv
+    - $PWD/traces/bs001.csv
+model: {architecture: mlp, hidden_sizes: [16]}
+federation: {rounds: 2, local_epochs: 1}
+aggregator: {strategy: fedadam}
+grid: {server_lr: [0.1, 1.0]}
+EOF
 
-for setting in centralized federated; do
+for setting in centralized federated adaptive; do
   fedcast run --config "$setting.yaml" --output-dir "runs/$setting-a"
   fedcast run --config "$setting.yaml" --output-dir "runs/$setting-b"
   diff -r "runs/$setting-a" "runs/$setting-b"
 done
-fedcast report --runs runs/centralized-a runs/federated-a --out plot.csv
+fedcast report --runs runs/centralized-a runs/federated-a runs/adaptive-a --out plot.csv
 echo "CLI smoke run passed in $work"

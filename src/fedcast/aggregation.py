@@ -2,32 +2,38 @@
 
 Every client i reports its local weights w_i after training, its sample
 count n_i and its local optimizer step count tau_i. The server derives
-delta_i = w_i - w from the global weights w it broadcast that round. The
-weighted round update is dW = sum_i (n_i / n) delta_i with n = sum_i n_i,
-and every strategy ADDS its update to the global weights:
+delta_i = w_i - w from the global weights w it broadcast that round.
 
-  fedavg / fedprox   w + eta * dW            (eta == 1 averages client models)
-  fedavgm            u = beta * u + dW;                    w + u
-  fednova            u = rho * u + (sum_i n_i tau_i / n)
-                         * sum_i (n_i / (n tau_i)) delta_i; w + eta * u
-  fedadagrad         u = u + dW^2;                w + eta * dW / (sqrt(u) + lam)
-  fedyogi            m = b1 m + (1-b1) dW;
-                     u = u - (1-b2) dW^2 sign(u - dW^2);
-                                                  w + eta * m / (sqrt(u) + lam)
-  fedadam            m = b1 m + (1-b1) dW;  u = b2 u + (1-b2) dW^2;
-                                                  w + eta * m / (sqrt(u) + lam)
-  simpleavg          unweighted mean of client models
-  medianavg          coordinate-wise median of client models
+A round takes three steps. The update set is checked once: it must be
+non-empty, its client ids unique, each update's layout that of w and each
+weight finite; an update that fails is rejected, never merged. It is put
+in ascending client-id order, so aggregation is invariant to update
+ordering, bit for bit. Then it is reduced once, to one of:
 
-Updates are merged in ascending client-id order regardless of arrival
-order, so aggregation is invariant to update ordering, bit for bit. An
-update with a NaN or infinite weight is rejected, never merged. simpleavg
-and medianavg reduce blocks of columns, each stacked on its own, so they
-never hold a second copy of every update.
+  simpleavg / medianavg   the coordinate-wise mean / median of the client
+                          models, one block of columns stacked at a time,
+                          so no second copy of every update is held
+  fedavg / fedprox        at eta == 1, sum_i (n_i / n) w_i with n = sum_i n_i
+  fednova                 (sum_i n_i tau_i / n) * sum_i (n_i / (n tau_i)) delta_i
+  every other strategy    the weighted delta dW = sum_i (n_i / n) delta_i
+
+The first two reductions are the new weights. A delta goes through one
+server rule, which ADDS its step to the global weights:
+
+  direct     fedavg / fedprox     w + eta * dW                    (eta != 1)
+  momentum   fedavgm, fednova     m = decay * m + step; w + eta * m
+             (decay is beta for fedavgm, whose eta stays 1, and rho for fednova)
+  adaptive   fedadagrad           v = v + dW^2;                     step = dW
+             fedyogi              m = b1 m + (1-b1) dW;
+                                  v = v - (1-b2) dW^2 sign(v - dW^2); step = m
+             fedadam              m = b1 m + (1-b1) dW;
+                                  v = b2 v + (1-b2) dW^2;           step = m
+             then                 w + eta * step / (sqrt(v) + lam)
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -100,16 +106,16 @@ class AggregatorConfig:
             raise AggregationError(
                 f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}"
             )
-        if self.server_lr <= 0:
-            raise AggregationError("server_lr must be positive")
-        if self.mu < 0:
-            raise AggregationError("mu must be >= 0")
+        for name in ("server_lr", "adaptivity"):
+            v = getattr(self, name)
+            if not 0.0 < v < math.inf:
+                raise AggregationError(f"{name} must be positive and finite, got {v}")
+        if not 0.0 <= self.mu < math.inf:
+            raise AggregationError(f"mu must be >= 0 and finite, got {self.mu}")
         for name in ("beta", "rho", "beta1", "beta2"):
             v = getattr(self, name)
             if not (0.0 <= v < 1.0):
                 raise AggregationError(f"{name} must be in [0, 1), got {v}")
-        if self.adaptivity <= 0:
-            raise AggregationError("adaptivity must be positive")
         reads = STRATEGY_FIELDS[self.strategy]
         for f in fields(self):
             value = getattr(self, f.name)
@@ -160,13 +166,14 @@ class ServerState:
 def _sorted_updates(
     updates: Sequence[ClientUpdate], global_params: ParameterVector
 ) -> list[ClientUpdate]:
+    """The update set in ascending client-id order, after its one check."""
     if not updates:
         raise AggregationError("no client updates to aggregate")
     ids = [u.client_id for u in updates]
     if len(set(ids)) != len(ids):
         raise AggregationError(f"duplicate client ids in updates: {ids}")
     for u in updates:
-        if u.local_params.size != global_params.size:
+        if u.local_params.layout != global_params.layout:
             raise AggregationError(
                 f"{u.client_id}: update does not match the global layout"
             )
@@ -195,16 +202,12 @@ def _reduce_blocks(reduce, local: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def weighted_delta(
-    updates: Sequence[ClientUpdate], global_params: ParameterVector
-) -> np.ndarray:
-    """dW = sum_i (n_i / n) (w_i - w) in ascending client-id order."""
-    ordered = _sorted_updates(updates, global_params)
-    n = sum(u.n_samples for u in ordered)
-    total = np.zeros(global_params.size, dtype=np.float64)
-    for u in ordered:
-        total += (u.n_samples / n) * (u.local_params.values - global_params.values)
-    return total
+# The unweighted reductions of the client models, one column block at a time.
+_UNWEIGHTED = {
+    "simpleavg": lambda stack: stack.mean(axis=0),
+    # each block's stack is this call's own, so median may partition it
+    "medianavg": lambda stack: np.median(stack, axis=0, overwrite_input=True),
+}
 
 
 def aggregate(
@@ -213,65 +216,47 @@ def aggregate(
     global_params: ParameterVector,
     updates: Sequence[ClientUpdate],
 ) -> tuple[ParameterVector, ServerState]:
-    """One server round: returns (new global weights, new server state)."""
+    """One server round: returns (new global weights, new server state).
+
+    Checks and orders the update set once, reduces it once, then applies
+    the strategy's server rule to the reduction.
+    """
     ordered = _sorted_updates(updates, global_params)
-    w = global_params.values
+    strategy, eta = config.strategy, config.server_lr
+    w, m, v = global_params.values, state.momentum, state.second_moment
     local = [u.local_params.values for u in ordered]
-    eta = config.server_lr
-    strategy = config.strategy
-    new_momentum = state.momentum
-    new_second = state.second_moment
-
-    if strategy == "simpleavg":
-        new_w = _reduce_blocks(lambda stack: stack.mean(axis=0), local)
-    elif strategy == "medianavg":
-        # each block's stack is this call's own, so median may partition it
-        new_w = _reduce_blocks(
-            lambda stack: np.median(stack, axis=0, overwrite_input=True), local
-        )
-    elif strategy in ("fedavg", "fedprox"):
-        # eta == 1 averages client models directly: exact (not just close)
-        # for a single client, and equal to w + dW up to float rounding.
-        if eta == 1.0:
-            n = sum(u.n_samples for u in ordered)
-            new_w = np.zeros(global_params.size, dtype=np.float64)
-            for u, w_i in zip(ordered, local):
-                new_w += (u.n_samples / n) * w_i
-        else:
-            new_w = w + eta * weighted_delta(ordered, global_params)
-    elif strategy == "fedavgm":
-        # eta is absorbed into the momentum step for this strategy.
-        new_momentum = config.beta * state.momentum + weighted_delta(
-            ordered, global_params
-        )
-        new_w = w + new_momentum
-    elif strategy == "fednova":
-        n = sum(u.n_samples for u in ordered)
-        normalized = np.zeros(global_params.size, dtype=np.float64)
-        for u, w_i in zip(ordered, local):
-            normalized += (u.n_samples / (n * u.local_steps)) * (w_i - w)
-        coeff = sum(u.n_samples * u.local_steps for u in ordered) / n
-        new_momentum = config.rho * state.momentum + coeff * normalized
-        new_w = w + eta * new_momentum
+    if strategy in _UNWEIGHTED:
+        return (ParameterVector(_reduce_blocks(_UNWEIGHTED[strategy], local),
+                                global_params.layout), state)
+    # eta == 1 averages client models directly: exact (not just close) for a
+    # single client, and equal to w + dW up to float rounding.
+    average = strategy in ("fedavg", "fedprox") and eta == 1.0
+    n = sum(u.n_samples for u in ordered)
+    step = np.zeros(w.size, dtype=np.float64)
+    for u, w_i in zip(ordered, local):
+        # FedNova also divides each client's weight by its step count
+        tau = u.local_steps if strategy == "fednova" else 1
+        step += (u.n_samples / (n * tau)) * (w_i if average else w_i - w)
+    if average:
+        return ParameterVector(step, global_params.layout), state
+    if strategy == "fednova":
+        step *= sum(u.n_samples * u.local_steps for u in ordered) / n
+    if strategy in ("fedavgm", "fednova"):
+        # fedavgm's server_lr stays 1: eta is absorbed into its momentum step
+        m = (config.beta if strategy == "fedavgm" else config.rho) * m + step
+        step = m
     elif strategy == "fedadagrad":
-        dw = weighted_delta(ordered, global_params)
-        new_second = state.second_moment + dw * dw
-        new_w = w + eta * dw / (np.sqrt(new_second) + config.adaptivity)
-    elif strategy == "fedyogi":
-        dw = weighted_delta(ordered, global_params)
-        new_momentum = config.beta1 * state.momentum + (1.0 - config.beta1) * dw
-        sq = dw * dw
-        new_second = state.second_moment - (1.0 - config.beta2) * sq * np.sign(
-            state.second_moment - sq
-        )
-        new_w = w + eta * new_momentum / (np.sqrt(new_second) + config.adaptivity)
-    else:  # fedadam; AggregatorConfig admits no other strategy
-        dw = weighted_delta(ordered, global_params)
-        new_momentum = config.beta1 * state.momentum + (1.0 - config.beta1) * dw
-        new_second = config.beta2 * state.second_moment + (1.0 - config.beta2) * (
-            dw * dw
-        )
-        new_w = w + eta * new_momentum / (np.sqrt(new_second) + config.adaptivity)
-
-    return (ParameterVector(new_w, global_params.layout),
-            ServerState(new_momentum, new_second))
+        v = v + step * step
+    elif strategy in ("fedyogi", "fedadam"):
+        m = config.beta1 * m + (1.0 - config.beta1) * step
+        sq = step * step
+        if strategy == "fedyogi":
+            v = v - (1.0 - config.beta2) * sq * np.sign(v - sq)
+        else:
+            v = config.beta2 * v + (1.0 - config.beta2) * sq
+        step = m
+    if strategy in ("fedadagrad", "fedyogi", "fedadam"):
+        new_w = w + eta * step / (np.sqrt(v) + config.adaptivity)
+    else:
+        new_w = w + eta * step
+    return ParameterVector(new_w, global_params.layout), ServerState(m, v)

@@ -8,6 +8,7 @@ predict exactly zero everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -60,8 +61,10 @@ class ModelSpec:
             raise ValueError("hidden_sizes must be positive")
         if any(f < 1 for f in self.conv_filters):
             raise ValueError("conv_filters must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
 
 
 def layout_for(spec: ModelSpec) -> Layout:

@@ -10,6 +10,7 @@ pure function of the spec: same spec, same bytes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,26 +43,28 @@ class SyntheticClientSpec:
     start: str = "2018-01-01T00:00:00"
 
     def __post_init__(self) -> None:
-        if self.days < 1:
-            raise ValueError(f"{self.client_id}: days must be >= 1")
-        if self.base_level <= 0:
-            raise ValueError(f"{self.client_id}: base_level must be positive")
-        if not (0.0 <= self.spike_probability < 1.0):
-            raise ValueError(f"{self.client_id}: spike_probability in [0, 1)")
-        if not self.spike_magnitude >= 1.0:
-            # a spike multiplies a row by a factor drawn from [1, magnitude)
-            raise ValueError(
-                f"spike_magnitude must be >= 1, got {self.spike_magnitude} "
-                f"({self.client_id})"
-            )
+        # each message starts with the field name, so a config error names
+        # the field's path
+        def check(name: str, ok: bool, rule: str) -> None:
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got "
+                                 f"{getattr(self, name)} ({self.client_id})")
+
+        check("days", self.days >= 1, ">= 1")
+        check("base_level", 0.0 < self.base_level < math.inf, "positive and finite")
+        for name in ("daily_amplitude", "weekly_amplitude", "phase"):
+            check(name, math.isfinite(getattr(self, name)), "finite")
+        check("noise_scale", 0.0 <= self.noise_scale < math.inf, ">= 0 and finite")
+        check("spike_probability", 0.0 <= self.spike_probability < 1.0, "in [0, 1)")
+        # a spike multiplies a row by a factor drawn from [1, magnitude)
+        check("spike_magnitude", 1.0 <= self.spike_magnitude < math.inf,
+              ">= 1 and finite")
         if (self.spike_probability == 0.0
                 and self.spike_magnitude != SyntheticClientSpec.spike_magnitude):
             raise ValueError(
                 f"spike_magnitude {self.spike_magnitude} has no effect with "
                 f"spike_probability 0 ({self.client_id})"
             )
-        if self.noise_scale < 0:
-            raise ValueError(f"{self.client_id}: noise_scale must be >= 0")
 
 
 @dataclass(frozen=True)

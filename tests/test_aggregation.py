@@ -16,7 +16,6 @@ from fedcast.aggregation import (
     ClientUpdate,
     ServerState,
     aggregate,
-    weighted_delta,
 )
 from fedcast.nn.params import Layout, ParameterVector, TensorSpec
 
@@ -118,16 +117,16 @@ def test_client_update_validation():
 def test_weighted_delta_arithmetic():
     # the server derives delta_i = w_i - w: deltas 1 and 4 from w = 1
     ups = [update("a", [2, 2, 2, 2], n=1), update("b", [5, 5, 5, 5], n=3)]
-    # (1/4)*1 + (3/4)*4 = 3.25
-    assert np.allclose(weighted_delta(ups, pv([1.0, 1, 1, 1])), 3.25)
+    # dW = (1/4)*1 + (3/4)*4 = 3.25, and fedavg moves w by eta * dW
+    new, _ = run("fedavg", ups, global_values=[1.0, 1, 1, 1], server_lr=0.5)
+    assert np.allclose(new.values, 1.0 + 0.5 * 3.25)
 
 
 def test_update_set_validation():
-    g = pv([0.0, 0, 0, 0])
-    with pytest.raises(AggregationError):
-        weighted_delta([], g)
-    with pytest.raises(AggregationError):
-        weighted_delta([update("a", [1, 0, 0, 0]), update("a", [2, 0, 0, 0])], g)
+    with pytest.raises(AggregationError, match="^no client updates"):
+        run("fedavg", [])
+    with pytest.raises(AggregationError, match="^duplicate client ids"):
+        run("fedavg", [update("a", [1, 0, 0, 0]), update("a", [2, 0, 0, 0])])
     with pytest.raises(AggregationError):
         aggregate(
             AggregatorConfig(strategy="fedavg"),
@@ -135,6 +134,25 @@ def test_update_set_validation():
             pv([0.0, 0.0]),
             [update("a", [1, 0, 0, 0])],
         )
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("tensors, tag", [
+    ((TensorSpec("w", (3, 2)),), "cnn"),  # same size, other shape and tag
+    ((TensorSpec("w", (2, 3)),), "cnn"),  # other tag only
+    ((TensorSpec("v", (2, 3)),), "mlp"),  # other tensor name only
+    ((TensorSpec("w", (2, 3), fan_in=2),), "mlp"),  # other fan-in only
+])
+def test_update_with_another_layout_is_rejected(strategy, tensors, tag):
+    global_layout = Layout((TensorSpec("w", (2, 3)),), tag="mlp")
+    g = ParameterVector(np.zeros(6), global_layout)
+    ok = ClientUpdate("a", ParameterVector(np.ones(6), global_layout), 1, 1)
+    other = ClientUpdate("b", ParameterVector(np.ones(6), Layout(tensors, tag)), 1, 1)
+    config = AggregatorConfig(strategy)
+    aggregate(config, ServerState.zeros(6), g, [ok])
+    with pytest.raises(AggregationError,
+                       match="^b: update does not match the global layout"):
+        aggregate(config, ServerState.zeros(6), g, [ok, other])
 
 
 # ------------------------------------------------------------ model averaging

@@ -226,6 +226,43 @@ def test_value_rule_reported_at_field_path(tmp_path, path, value):
     assert str(exc.value).startswith(f"config.{path}: {field} ")
 
 
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("cls, kwargs, field, value", [
+    (AggregatorConfig, {"strategy": "fedadam"}, "server_lr", NAN),
+    (AggregatorConfig, {"strategy": "fedadam"}, "server_lr", INF),
+    (AggregatorConfig, {"strategy": "fedprox"}, "mu", NAN),
+    (AggregatorConfig, {"strategy": "fedprox"}, "mu", INF),
+    (AggregatorConfig, {"strategy": "fedadam"}, "adaptivity", NAN),
+    (AggregatorConfig, {"strategy": "fedadam"}, "adaptivity", INF),
+    (AggregatorConfig, {"strategy": "fedavgm"}, "beta", NAN),
+    (AggregatorConfig, {"strategy": "fednova"}, "rho", INF),
+    (AggregatorConfig, {"strategy": "fedyogi"}, "beta1", NAN),
+    (AggregatorConfig, {"strategy": "fedadam"}, "beta2", NAN),
+    (ModelSpec, {"architecture": "mlp"}, "learning_rate", NAN),
+    (ModelSpec, {"architecture": "mlp"}, "learning_rate", INF),
+    (SyntheticClientSpec, {"client_id": "bs000"}, "base_level", NAN),
+    (SyntheticClientSpec, {"client_id": "bs000"}, "base_level", INF),
+    (SyntheticClientSpec, {"client_id": "bs000"}, "noise_scale", NAN),
+    (SyntheticClientSpec, {"client_id": "bs000"}, "noise_scale", INF),
+    (SyntheticClientSpec, {"client_id": "bs000"}, "daily_amplitude", NAN),
+    (SyntheticClientSpec, {"client_id": "bs000"}, "weekly_amplitude", -INF),
+    (SyntheticClientSpec, {"client_id": "bs000"}, "phase", INF),
+    (SyntheticClientSpec, {"client_id": "bs000"}, "spike_probability", NAN),
+    (SyntheticClientSpec, {"client_id": "bs000", "spike_probability": 0.1},
+     "spike_magnitude", INF),
+])
+def test_non_finite_value_fails_naming_its_field(cls, kwargs, field, value):
+    # the YAML decoder rejects non-finite floats itself; through the Python
+    # API the field's own rule must, with a message that starts with the
+    # field name, which is how a config error finds the field's path
+    cls(**kwargs)
+    with pytest.raises(ValueError) as exc:
+        cls(**kwargs, **{field: value})
+    assert str(exc.value).startswith(f"{field} must be "), str(exc.value)
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3)
