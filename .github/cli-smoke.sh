@@ -1,10 +1,11 @@
 #!/bin/sh
 # Smoke run of the installed `fedcast` console script, which the test suite
 # never starts (its CLI tests call fedcast.cli.main in-process): generate a
-# two-client cohort, run a centralized, a federated and an adaptive-server
+# two-client cohort, run a centralized, a federated, an adaptive-server
 # federated config (fedadam over a two-cell server_lr grid, a server rule
-# that no benchmark workload runs) on its CSVs twice each, require each pair
-# of output trees to be identical, and report.
+# that no benchmark workload runs) and an individual-setting GRU and RNN
+# config (the two forwards no benchmark workload runs) on its CSVs twice
+# each, require each pair of output trees to be identical, and report.
 #
 # Usage: sh .github/cli-smoke.sh [WORK_DIR]   (default: a new temporary dir)
 set -eu
@@ -69,10 +70,26 @@ aggregator: {strategy: fedadam}
 grid: {server_lr: [0.1, 1.0]}
 EOF
 
-for setting in centralized federated adaptive; do
+for cell in gru rnn; do
+  cat > "$cell.yaml" <<EOF
+name: smoke-$cell
+setting: individual
+output_dir: runs/$cell
+seeds: [0]
+data:
+  paths:
+    - $PWD/traces/bs000.csv
+    - $PWD/traces/bs001.csv
+model: {architecture: $cell, recurrent_units: 8, dense_units: 8}
+training: {max_epochs: 2, patience: 2}
+EOF
+done
+
+for setting in centralized federated adaptive gru rnn; do
   fedcast run --config "$setting.yaml" --output-dir "runs/$setting-a"
   fedcast run --config "$setting.yaml" --output-dir "runs/$setting-b"
   diff -r "runs/$setting-a" "runs/$setting-b"
 done
-fedcast report --runs runs/centralized-a runs/federated-a runs/adaptive-a --out plot.csv
+fedcast report --runs runs/centralized-a runs/federated-a runs/adaptive-a \
+  runs/gru-a runs/rnn-a --out plot.csv
 echo "CLI smoke run passed in $work"

@@ -164,9 +164,22 @@ class ServerState:
 
 
 def _sorted_updates(
-    updates: Sequence[ClientUpdate], global_params: ParameterVector
+    updates: Sequence[ClientUpdate],
+    global_params: ParameterVector,
+    state: ServerState,
 ) -> list[ClientUpdate]:
-    """The update set in ascending client-id order, after its one check."""
+    """The update set in ascending client-id order, after its one check.
+
+    The check also covers the server state, whose accumulators must have
+    one entry per global weight.
+    """
+    for name in ("momentum", "second_moment"):
+        shape = getattr(state, name).shape
+        if shape != global_params.values.shape:
+            raise AggregationError(
+                f"server state {name} has shape {shape}, expected "
+                f"{global_params.values.shape} for the global weights"
+            )
     if not updates:
         raise AggregationError("no client updates to aggregate")
     ids = [u.client_id for u in updates]
@@ -221,7 +234,7 @@ def aggregate(
     Checks and orders the update set once, reduces it once, then applies
     the strategy's server rule to the reduction.
     """
-    ordered = _sorted_updates(updates, global_params)
+    ordered = _sorted_updates(updates, global_params, state)
     strategy, eta = config.strategy, config.server_lr
     w, m, v = global_params.values, state.momentum, state.second_moment
     local = [u.local_params.values for u in ordered]

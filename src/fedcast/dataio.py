@@ -232,14 +232,20 @@ class PreprocessConfig:
             try:
                 _check_percentiles(lo, hi)
             except ValueError as exc:
-                raise ValueError(f"{cid}: {exc}") from exc
+                raise ValueError(f"per_client_percentiles {cid!r}: {exc}") from exc
 
 
 def _check_percentiles(lower: float, upper: float) -> None:
-    if not (0.0 < lower < upper < 100.0):
+    """0 < lower < upper < 100; the message starts with the field at fault.
+
+    An upper bound in (0, 100) below the lower one is reported at the lower.
+    """
+    if not 0.0 < upper < 100.0:
+        raise ValueError(f"upper_percentile must be in (0, 100), got {upper}")
+    if not 0.0 < lower < upper:
         raise ValueError(
-            f"percentiles must satisfy 0 < lower < upper < 100, "
-            f"got ({lower}, {upper})"
+            f"lower_percentile must be in (0, upper_percentile = {upper}), "
+            f"got {lower}"
         )
 
 

@@ -8,9 +8,11 @@ predict exactly zero everywhere.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, fields
+from itertools import islice
+from typing import Sequence
 
 import numpy as np
 
@@ -19,7 +21,18 @@ from fedcast.nn import engine as eg
 from fedcast.nn.engine import Tensor
 from fedcast.nn.params import Layout, ParameterVector, TensorSpec
 
-ARCHITECTURES: tuple[str, ...] = ("mlp", "rnn", "lstm", "gru", "cnn")
+# The ModelSpec shape fields each architecture reads; it ignores the rest.
+# Every architecture also reads the window, feature, target, optimizer and
+# batch fields.
+ARCHITECTURE_FIELDS: dict[str, tuple[str, ...]] = {
+    "mlp": ("hidden_sizes",),
+    "rnn": ("recurrent_units", "dense_units"),
+    "lstm": ("recurrent_units", "dense_units"),
+    "gru": ("recurrent_units", "dense_units"),
+    "cnn": ("conv_filters", "kernel_size", "dense_units"),
+}
+ARCHITECTURES: tuple[str, ...] = tuple(ARCHITECTURE_FIELDS)
+_SHAPE_FIELDS = {name for reads in ARCHITECTURE_FIELDS.values() for name in reads}
 
 # Windows per forward pass in predict; bounds its peak memory.
 PREDICT_CHUNK = 512
@@ -32,7 +45,9 @@ class ModelSpec:
     Defaults follow the reference configuration: 10-step windows over 11
     features, 5 targets, MLP hidden stack (256, 128, 64), 128 recurrent
     units with a 128-unit ReLU head, CNN filters (16, 16, 32, 32) with 3x3
-    kernels, Adam at lr 0.001, batch size 128.
+    kernels, Adam at lr 0.001, batch size 128. Each architecture reads only
+    its ARCHITECTURE_FIELDS entry of the shape fields; any other must keep
+    its default, since a value there would change nothing.
     """
 
     architecture: str
@@ -57,51 +72,54 @@ class ModelSpec:
                      "dense_units", "kernel_size", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if any(h < 1 for h in self.hidden_sizes):
-            raise ValueError("hidden_sizes must be positive")
-        if any(f < 1 for f in self.conv_filters):
-            raise ValueError("conv_filters must be positive")
+        for name in ("hidden_sizes", "conv_filters"):
+            if any(n < 1 for n in getattr(self, name)):
+                raise ValueError(f"{name} must be positive")
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError(
                 f"learning_rate must be positive and finite, got {self.learning_rate}"
             )
+        reads = ARCHITECTURE_FIELDS[self.architecture]
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _SHAPE_FIELDS and f.name not in reads and value != f.default:
+                raise ValueError(
+                    f"{f.name} {value!r} is not read by architecture "
+                    f"{self.architecture!r}, which reads {list(reads)}"
+                )
 
 
+@functools.cache
 def layout_for(spec: ModelSpec) -> Layout:
-    """Canonical tensor table for one spec; identical specs share offsets."""
-    d, t_len = spec.n_features, spec.window_size
-    out = spec.n_targets
+    """Canonical tensor table for one spec; identical specs share one Layout.
+
+    The tensors are listed in the order in which forward_graph takes them.
+    Built once per spec, so check_layout costs a hash and an identity test.
+    """
     tensors: list[TensorSpec] = []
 
-    def dense(prefix: str, n_in: int, n_out: int) -> None:
+    def layer(prefix: str, n_in: int, n_out: int) -> int:
         tensors.append(TensorSpec(f"{prefix}.w", (n_in, n_out), fan_in=n_in))
         tensors.append(TensorSpec(f"{prefix}.b", (n_out,)))
+        return n_out
 
     if spec.architecture == "mlp":
-        width = t_len * d
+        width = spec.window_size * spec.n_features
         for i, h in enumerate(spec.hidden_sizes):
-            dense(f"fc{i}", width, h)
-            width = h
-        dense("out", width, out)
-    elif spec.architecture in ("rnn", "lstm", "gru"):
-        units = spec.recurrent_units
-        gates = {"rnn": 1, "lstm": 4, "gru": 3}[spec.architecture]
-        tensors.append(TensorSpec("cell.w_x", (d, gates * units), fan_in=d))
-        tensors.append(TensorSpec("cell.w_h", (units, gates * units), fan_in=units))
-        tensors.append(TensorSpec("cell.b", (gates * units,)))
-        dense("head", units, spec.dense_units)
-        dense("out", spec.dense_units, out)
+            width = layer(f"fc{i}", width, h)
     elif spec.architecture == "cnn":
-        k2 = spec.kernel_size * spec.kernel_size
-        channels = 1
+        width = 1  # one input channel
         for i, f in enumerate(spec.conv_filters):
-            tensors.append(
-                TensorSpec(f"conv{i}.w", (channels * k2, f), fan_in=channels * k2)
-            )
-            tensors.append(TensorSpec(f"conv{i}.b", (f,)))
-            channels = f
-        dense("head", channels, spec.dense_units)
-        dense("out", spec.dense_units, out)
+            width = layer(f"conv{i}", width * spec.kernel_size**2, f)
+        width = layer("head", width, spec.dense_units)
+    else:
+        d, units = spec.n_features, spec.recurrent_units
+        gates = {"rnn": 1, "lstm": 4, "gru": 3}[spec.architecture] * units
+        tensors.append(TensorSpec("cell.w_x", (d, gates), fan_in=d))
+        tensors.append(TensorSpec("cell.w_h", (units, gates), fan_in=units))
+        tensors.append(TensorSpec("cell.b", (gates,)))
+        width = layer("head", units, spec.dense_units)
+    layer("out", width, spec.n_targets)
     return Layout(tuple(tensors), tag=spec.architecture)
 
 
@@ -110,27 +128,25 @@ def init_model(spec: ModelSpec, seed: int) -> ParameterVector:
     layout = layout_for(spec)
     rng = np.random.default_rng(seed)
     values = np.zeros(layout.size, dtype=np.float64)
-    pv = ParameterVector(values, layout)
     for tensor in layout.tensors:
-        if tensor.fan_in is None:
-            continue
-        bound = 1.0 / np.sqrt(tensor.fan_in)
-        lo, hi, _ = layout.offsets[tensor.name]
-        values[lo:hi] = rng.uniform(-bound, bound, size=tensor.size)
-    return pv
+        if tensor.fan_in is not None:
+            bound = 1.0 / np.sqrt(tensor.fan_in)
+            lo, hi, _ = layout.offsets[tensor.name]
+            values[lo:hi] = rng.uniform(-bound, bound, size=tensor.size)
+    return ParameterVector(values, layout)
 
 
 def forward_graph(
-    spec: ModelSpec, tensors: Mapping[str, Tensor], inputs: np.ndarray
+    spec: ModelSpec, tensors: Sequence[Tensor], inputs: np.ndarray
 ) -> Tensor:
     """Build the prediction graph for a batch of windows.
 
-    tensors maps layout names to engine Tensors (leaves when training,
-    constants when predicting). inputs is (batch, T, d), and may be a view
-    of overlapping windows (see make_windows): it is copied to a contiguous
-    array first, since the MLP's reshape of such a view would give rows that
-    overlap, which numpy's matmul multiplies without BLAS, slower and with
-    different rounding.
+    tensors are the weights in layout order (see leaf_tensors); each layer
+    takes the next two, w and b, and a recurrent cell the next three. inputs
+    is (batch, T, d), and may be a view of overlapping windows (see
+    make_windows): it is copied to a contiguous array first, since the MLP's
+    reshape of such a view would give rows that overlap, which numpy's
+    matmul multiplies without BLAS, slower and with different rounding.
     """
     x = np.ascontiguousarray(inputs, dtype=np.float64)
     if x.ndim != 3 or x.shape[1] != spec.window_size or x.shape[2] != spec.n_features:
@@ -138,49 +154,41 @@ def forward_graph(
             f"expected inputs (batch, {spec.window_size}, {spec.n_features}), "
             f"got {x.shape}"
         )
+    batch = x.shape[0]
+    weights = iter(tensors)
+
+    def dense(h: Tensor, relu: bool) -> Tensor:
+        return eg.dense(h, *islice(weights, 2), relu)
+
     if spec.architecture == "mlp":
-        return _mlp(spec, tensors, x)
-    if spec.architecture == "cnn":
-        return _cnn(spec, tensors, x)
-    return _recurrent(spec, tensors, x)
+        h = Tensor(x.reshape(batch, spec.window_size * spec.n_features))
+        for _ in spec.hidden_sizes:
+            h = dense(h, True)
+    elif spec.architecture == "cnn":
+        # One input channel: the window is a (T, d) channels-last image.
+        h = Tensor(x.reshape(batch, spec.window_size, spec.n_features, 1))
+        for _ in spec.conv_filters:
+            h = eg.conv2d(h, *islice(weights, 2), spec.kernel_size,
+                          spec.kernel_size // 2, relu=True)
+        h = dense(eg.spatial_mean(h), True)
+    else:
+        h = dense(eg.recurrent(spec.architecture, x, *islice(weights, 3)), True)
+    return dense(h, False)
 
 
-def _dense_head(tensors: Mapping[str, Tensor], h: Tensor) -> Tensor:
-    h = eg.dense(h, tensors["head.w"], tensors["head.b"], True)
-    return eg.dense(h, tensors["out.w"], tensors["out.b"], False)
+def leaf_tensors(params: ParameterVector, requires_grad: bool = True) -> list[Tensor]:
+    """The weights as graph tensors in layout order, each a view, not a copy."""
+    return [Tensor(params.view(t.name), requires_grad) for t in params.layout.tensors]
 
 
-def _mlp(spec, tensors, x):
-    batch = x.shape[0]
-    h: Tensor = Tensor(x.reshape(batch, spec.window_size * spec.n_features))
-    for i in range(len(spec.hidden_sizes)):
-        h = eg.dense(h, tensors[f"fc{i}.w"], tensors[f"fc{i}.b"], True)
-    return eg.dense(h, tensors["out.w"], tensors["out.b"], False)
-
-
-def _recurrent(spec, tensors, x):
-    h = eg.recurrent(spec.architecture, x, tensors["cell.w_x"], tensors["cell.w_h"],
-                     tensors["cell.b"])
-    return _dense_head(tensors, h)
-
-
-def _cnn(spec, tensors, x):
-    batch = x.shape[0]
-    # One input channel: the window is a (T, d) channels-last image.
-    h: Tensor = Tensor(x.reshape(batch, spec.window_size, spec.n_features, 1))
-    pad = spec.kernel_size // 2
-    for i in range(len(spec.conv_filters)):
-        h = eg.conv2d(h, tensors[f"conv{i}.w"], tensors[f"conv{i}.b"],
-                      spec.kernel_size, pad, relu=True)
-    return _dense_head(tensors, eg.spatial_mean(h))
-
-
-def leaf_tensors(params: ParameterVector) -> dict[str, Tensor]:
-    """Parameter views wrapped as gradient-bearing graph leaves."""
-    return {
-        t.name: Tensor(params.view(t.name), requires_grad=True)
-        for t in params.layout.tensors
-    }
+def check_layout(spec: ModelSpec, params: ParameterVector) -> None:
+    """Raise ValueError unless params has exactly the layout of spec."""
+    expected = layout_for(spec)
+    if params.layout != expected:
+        raise ValueError(
+            f"weights with layout {params.layout.tag!r} ({params.size} values) "
+            f"do not fit the {expected.tag!r} spec ({expected.size} values)"
+        )
 
 
 def predict(
@@ -196,12 +204,13 @@ def predict(
     bitwise; the chunk boundaries depend only on the input length, so
     repeated calls are bit-identical.
     """
+    check_layout(spec, params)
     if isinstance(inputs, WindowedDataset):
         def chunk(part: slice) -> np.ndarray:
             return inputs.batch(part)[0]
     else:
         chunk = np.asarray(inputs, dtype=np.float64).__getitem__
-    constants = {t.name: Tensor(params.view(t.name)) for t in params.layout.tensors}
+    constants = leaf_tensors(params, requires_grad=False)
     parts = [
         forward_graph(spec, constants, chunk(slice(i, i + PREDICT_CHUNK))).data
         # at least one chunk, so zero windows give a (0, n_targets) result

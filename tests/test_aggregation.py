@@ -155,6 +155,16 @@ def test_update_with_another_layout_is_rejected(strategy, tensors, tag):
         aggregate(config, ServerState.zeros(6), g, [ok, other])
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("momentum, second", [(1, 4), (4, 1), (3, 3), (1, 1)])
+def test_server_state_of_another_size_is_rejected(strategy, momentum, second):
+    # a size-1 accumulator would broadcast against the 4 global weights
+    kw = {"server_lr": 0.1} if "server_lr" in STRATEGY_FIELDS[strategy] else {}
+    state = ServerState(np.zeros(momentum), np.zeros(second))
+    with pytest.raises(AggregationError, match="^server state "):
+        run(strategy, [update("a", [1, 2, 3, 4])], state=state, **kw)
+
+
 # ------------------------------------------------------------ model averaging
 
 def test_fedavg_eta_one_is_weighted_model_average():

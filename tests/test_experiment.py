@@ -27,7 +27,7 @@ from fedcast.experiment import (
     run_experiment,
 )
 from fedcast.federation import FederationConfig
-from fedcast.nn.models import ModelSpec, layout_for
+from fedcast.nn.models import ARCHITECTURE_FIELDS, ModelSpec, layout_for
 from fedcast.nn.params import deserialize_params
 from fedcast.synthetic import SyntheticClientSpec, SyntheticSpec
 from helpers import random_dataset
@@ -224,6 +224,59 @@ def test_value_rule_reported_at_field_path(tmp_path, path, value):
     with pytest.raises(ConfigError) as exc:
         config_from_dict(raw)
     assert str(exc.value).startswith(f"config.{path}: {field} ")
+
+
+@pytest.mark.parametrize("preprocessing, field", [
+    ({"lower_percentile": 95.0}, "lower_percentile"),
+    ({"lower_percentile": 0.0}, "lower_percentile"),
+    ({"upper_percentile": 100.0}, "upper_percentile"),
+    ({"upper_percentile": -5.0}, "upper_percentile"),
+    ({"per_client_percentiles": {"bs000": [95.0, 90.0]}}, "per_client_percentiles"),
+    ({"per_client_percentiles": {"bs001": [10.0, 100.0]}}, "per_client_percentiles"),
+])
+def test_percentile_error_reported_at_its_field(tmp_path, preprocessing, field):
+    raw = config_to_dict(tiny_config(tmp_path))
+    raw["preprocessing"].update(preprocessing)
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(raw)
+    assert str(exc.value).startswith(f"config.preprocessing.{field}: {field} ")
+    for cid in preprocessing.get("per_client_percentiles", ()):
+        assert repr(cid) in str(exc.value)
+
+
+# a value other than the default for each shape field of ModelSpec
+SHAPE_VALUES = {"hidden_sizes": [7], "recurrent_units": 7, "dense_units": 7,
+                "conv_filters": [3], "kernel_size": 5}
+
+
+@pytest.mark.parametrize("architecture, field", [
+    (arch, field)
+    for arch, reads in ARCHITECTURE_FIELDS.items()
+    for field in SHAPE_VALUES
+    if field not in reads
+])
+def test_model_field_the_architecture_does_not_read_is_rejected(
+    tmp_path, architecture, field
+):
+    raw = config_to_dict(tiny_config(tmp_path))
+    raw["model"] = {"architecture": architecture, "window_size": 6,
+                    field: SHAPE_VALUES[field]}
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(raw)
+    assert str(exc.value).startswith(f"config.model.{field}: {field} "), exc.value
+
+
+@pytest.mark.parametrize("architecture, field", [
+    (arch, field) for arch, reads in ARCHITECTURE_FIELDS.items() for field in reads
+])
+def test_model_field_the_architecture_reads_changes_its_layout(
+    tmp_path, architecture, field
+):
+    raw = config_to_dict(tiny_config(tmp_path))
+    raw["model"] = {"architecture": architecture, "window_size": 6,
+                    field: SHAPE_VALUES[field]}
+    spec = config_from_dict(raw).model
+    assert layout_for(spec) != layout_for(ModelSpec(architecture, window_size=6))
 
 
 

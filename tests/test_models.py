@@ -256,6 +256,25 @@ def test_lstm_predict_keeps_no_per_step_history():
     assert traced_peak(lambda: predict(spec, pv, x)) <= 10e6
 
 
+@pytest.mark.parametrize("spec, weights", [
+    (ModelSpec("lstm"), ModelSpec("gru")),  # same tensor names, other widths
+    (ModelSpec("cnn"), ModelSpec("mlp")),  # other tensor names
+    (ModelSpec("rnn"), ModelSpec("mlp", hidden_sizes=(128,))),
+    (ModelSpec("mlp", hidden_sizes=(8,)), ModelSpec("mlp", hidden_sizes=(9,))),
+    (ModelSpec("gru"), ModelSpec("gru", recurrent_units=64)),
+    (ModelSpec("cnn"), ModelSpec("cnn", kernel_size=5)),
+])
+def test_weights_that_do_not_fit_the_spec_are_rejected(spec, weights):
+    pv = init_model(weights, 0)
+    x = np.zeros((3, spec.window_size, spec.n_features))
+    message = (f"weights with layout {weights.architecture!r} .* do not fit the "
+               f"{spec.architecture!r} spec")
+    with pytest.raises(ValueError, match=message):
+        predict(spec, pv, x)
+    with pytest.raises(ValueError, match=message):
+        loss_and_grad(spec, pv, x, np.zeros((3, spec.n_targets)))
+
+
 def test_model_spec_validation():
     with pytest.raises(ValueError):
         ModelSpec(architecture="transformer")

@@ -9,7 +9,6 @@ from fedcast.nn.training import (
     AdamState,
     DivergenceError,
     EarlyStopper,
-    _epoch_rng,
     adam_step,
     evaluate,
     loss_and_grad,
@@ -185,7 +184,7 @@ def test_train_local_proximal_term_composition():
     mu = 0.5
     report = train_local(spec, pv, w, epochs=1, seed=13, proximal_mu=mu)
 
-    idx = _epoch_rng(13, 0).permutation(w.count)
+    idx = np.random.default_rng([13, 0]).permutation(w.count)  # epoch 0's stream
     values, state = pv.values, AdamState.zeros(pv.size)
     weighted_loss = 0.0
     pulls = []
