@@ -5,7 +5,9 @@
 # federated config (fedadam over a two-cell server_lr grid, a server rule
 # that no benchmark workload runs) and an individual-setting GRU and RNN
 # config (the two forwards no benchmark workload runs) on its CSVs twice
-# each, require each pair of output trees to be identical, and report.
+# each, require each pair of output trees to be identical, and report. A
+# config with a malformed synthetic start must exit 2 naming the field,
+# without a traceback.
 #
 # Usage: sh .github/cli-smoke.sh [WORK_DIR]   (default: a new temporary dir)
 set -eu
@@ -27,6 +29,18 @@ data:
 model: {architecture: mlp, hidden_sizes: [16]}
 EOF
 fedcast generate --config cohort.yaml --out-dir traces
+
+sed 's/{client_id: bs000, days: 1}/{client_id: bs000, days: 1, start: "2018-13-45"}/' \
+  cohort.yaml > bad-start.yaml
+status=0
+fedcast run --config bad-start.yaml --output-dir runs/bad-start 2> bad-start.err \
+  || status=$?
+if [ "$status" -ne 2 ] || ! grep -q 'clients\[0\]\.start' bad-start.err \
+    || grep -q Traceback bad-start.err; then
+  echo "a malformed start exited $status:" >&2
+  cat bad-start.err >&2
+  exit 1
+fi
 
 cat > centralized.yaml <<EOF
 name: smoke-centralized

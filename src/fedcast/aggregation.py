@@ -33,13 +33,14 @@ server rule, which ADDS its step to the global weights:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from fedcast.nn.params import ParameterVector
+from fedcast.schema import (FRACTION, NON_NEGATIVE_FINITE, POSITIVE_FINITE, check, knob,
+                            one_of, read_by)
 
 # The AggregatorConfig fields each strategy reads; it ignores the rest.
 # fedprox's mu is read by its clients, not by aggregate.
@@ -55,6 +56,7 @@ STRATEGY_FIELDS: dict[str, tuple[str, ...]] = {
     "medianavg": (),
 }
 STRATEGIES: tuple[str, ...] = tuple(STRATEGY_FIELDS)
+_BY_STRATEGY = read_by("strategy", STRATEGY_FIELDS)
 
 # Hyper-parameter search grids from the reference evaluation.
 TUNING_GRIDS: dict[str, dict[str, list[float]]] = {
@@ -92,38 +94,17 @@ class AggregatorConfig:
     default, since a value there would change nothing.
     """
 
-    strategy: str
-    server_lr: float = 1.0
-    mu: float = 0.0
-    beta: float = 0.0
-    rho: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.99
-    adaptivity: float = 1e-3
+    strategy: str = knob(rule=one_of(STRATEGIES))
+    server_lr: float = knob(1.0, POSITIVE_FINITE, _BY_STRATEGY)
+    mu: float = knob(0.0, NON_NEGATIVE_FINITE, _BY_STRATEGY)
+    beta: float = knob(0.0, FRACTION, _BY_STRATEGY)
+    rho: float = knob(0.0, FRACTION, _BY_STRATEGY)
+    beta1: float = knob(0.9, FRACTION, _BY_STRATEGY)
+    beta2: float = knob(0.99, FRACTION, _BY_STRATEGY)
+    adaptivity: float = knob(1e-3, POSITIVE_FINITE, _BY_STRATEGY)
 
     def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise AggregationError(
-                f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}"
-            )
-        for name in ("server_lr", "adaptivity"):
-            v = getattr(self, name)
-            if not 0.0 < v < math.inf:
-                raise AggregationError(f"{name} must be positive and finite, got {v}")
-        if not 0.0 <= self.mu < math.inf:
-            raise AggregationError(f"mu must be >= 0 and finite, got {self.mu}")
-        for name in ("beta", "rho", "beta1", "beta2"):
-            v = getattr(self, name)
-            if not (0.0 <= v < 1.0):
-                raise AggregationError(f"{name} must be in [0, 1), got {v}")
-        reads = STRATEGY_FIELDS[self.strategy]
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name not in ("strategy", *reads) and value != f.default:
-                raise AggregationError(
-                    f"{f.name} {value!r} is not read by strategy {self.strategy!r}, "
-                    f"which reads {list(reads)}"
-                )
+        check(self, AggregationError)
 
 
 @dataclass(frozen=True)

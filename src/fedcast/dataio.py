@@ -16,12 +16,14 @@ import contextlib
 import csv
 import functools
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
+
+from fedcast.schema import at_least, check, knob, one_of, read_if
 
 FEATURES: tuple[str, ...] = (
     "DownLink",
@@ -199,6 +201,9 @@ class ClientWindows:
     scaler: ScalerParams
 
 
+_WITH_FLOOD_CAP = read_if("use_flood_cap", bool)
+
+
 @dataclass(frozen=True)
 class PreprocessConfig:
     """Knobs for the per-client pipeline.
@@ -209,25 +214,18 @@ class PreprocessConfig:
     "global" negotiates elementwise bounds across all clients first.
     """
 
-    window_size: int = 10
+    window_size: int = knob(10, at_least(1))
     use_flood_cap: bool = True
-    lower_percentile: float = 10.0
-    upper_percentile: float = 90.0
-    per_client_percentiles: Mapping[str, tuple[float, float]] = field(
-        default_factory=dict
+    lower_percentile: float = knob(10.0, reads=_WITH_FLOOD_CAP)
+    upper_percentile: float = knob(90.0, reads=_WITH_FLOOD_CAP)
+    per_client_percentiles: Mapping[str, tuple[float, float]] = knob(
+        default_factory=dict, reads=_WITH_FLOOD_CAP
     )
-    scaling_scope: str = "global"
+    scaling_scope: str = knob("global", one_of(("local", "global")))
 
     def __post_init__(self) -> None:
-        if self.window_size < 1:
-            raise ValueError("window_size must be >= 1")
-        if self.scaling_scope not in ("local", "global"):
-            raise ValueError(f"unknown scaling_scope {self.scaling_scope!r}")
+        check(self)
         _check_percentiles(self.lower_percentile, self.upper_percentile)
-        if self.per_client_percentiles and not self.use_flood_cap:
-            raise ValueError(
-                "per_client_percentiles has no effect with use_flood_cap false"
-            )
         for cid, (lo, hi) in self.per_client_percentiles.items():
             try:
                 _check_percentiles(lo, hi)

@@ -4,9 +4,9 @@ A config picks a setting (individual, centralized, federated), a data
 source (CSV paths or a synthetic cohort), preprocessing, a model, and, for
 the federated setting, federation plus aggregator parameters. A config
 mapping is decoded against the config dataclasses' field annotations, and
-each dataclass checks its own value rules, so a bad value raises ConfigError
-naming its path (config.data.synthetic.clients[0].days) before anything
-runs. config_to_dict is the inverse. run_experiment executes every (grid
+each dataclass checks the rules its fields declare (fedcast.schema), so a
+bad value raises ConfigError naming its path
+(config.data.synthetic.clients[0].days) before anything runs. config_to_dict is the inverse. run_experiment executes every (grid
 cell, seed) pair, writes per-run artifacts (round or epoch CSVs,
 checkpoints, metric JSON), a manifest that reruns the experiment verbatim,
 and a summary with mean/std across seeds. All emitted bytes are
@@ -60,6 +60,7 @@ from fedcast.metrics import MetricReport, evaluate_forecasts
 from fedcast.nn.models import ModelSpec, predict
 from fedcast.nn.params import ParameterVector, serialize_params
 from fedcast.nn.training import TrainReport
+from fedcast.schema import NON_EMPTY, Rule, at_least, check, knob, one_of, read_if
 from fedcast.synthetic import SyntheticSpec, generate_synthetic
 
 SETTINGS = ("individual", "centralized", "federated")
@@ -73,8 +74,8 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THR
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field path.
 
-    A __post_init__ rule whose message starts with a field name ("rounds must
-    be >= 0") is reported at that field's path, any other at its section's.
+    A rule whose message starts with a field name ("rounds must be >= 0, got
+    -1") is reported at that field's path, any other at its section's.
     """
 
 
@@ -82,52 +83,51 @@ class ConfigError(ValueError):
 class TrainingConfig:
     """Early-stopping budget for the individual and centralized settings."""
 
-    max_epochs: int = 270
-    patience: int = 50
+    max_epochs: int = knob(270, at_least(1))
+    patience: int = knob(50, at_least(1))
 
-    def __post_init__(self) -> None:
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+    __post_init__ = check
 
 
 @dataclass(frozen=True)
 class DataConfig:
     """Exactly one source: CSV paths on disk or a synthetic cohort."""
 
-    paths: Optional[tuple[str, ...]] = None
+    paths: Optional[tuple[str, ...]] = knob(None, NON_EMPTY)
     synthetic: Optional[SyntheticSpec] = None
 
     def __post_init__(self) -> None:
+        check(self)
         if (self.paths is None) == (self.synthetic is None):
             raise ValueError("provide exactly one of paths / synthetic")
-        if self.paths is not None and not self.paths:
-            raise ValueError("paths must name at least one CSV file")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     name: str
-    setting: str
+    setting: str = knob(rule=one_of(SETTINGS))
     output_dir: str
-    seeds: tuple[int, ...]
+    seeds: tuple[int, ...] = knob(rule=Rule(
+        "one or more distinct ints >= 0",
+        lambda s: len(s) > 0 and min(s) >= 0 and len(set(s)) == len(s),
+    ))
     data: DataConfig
     model: ModelSpec
     preprocessing: PreprocessConfig = PreprocessConfig()
     training: TrainingConfig = TrainingConfig()
     federation: Optional[FederationConfig] = None
     aggregator: Optional[AggregatorConfig] = None
-    grid: Optional[dict[str, tuple[float, ...]]] = None
-    fine_tune: bool = False
-    fine_tune_epochs: int = 3
+    grid: Optional[dict[str, tuple[float, ...]]] = knob(
+        None,
+        Rule("a non-empty mapping of parameters to non-empty value lists",
+             lambda g: len(g) > 0 and all(g.values())),
+        read_if("setting", lambda s: s == "federated"),
+    )
+    fine_tune: bool = knob(False, reads=read_if("setting", lambda s: s != "individual"))
+    fine_tune_epochs: int = knob(3, at_least(1), read_if("fine_tune", bool))
 
     def __post_init__(self) -> None:
-        if self.setting not in SETTINGS:
-            raise ValueError(f"setting must be one of {SETTINGS}")
-        seeds = list(self.seeds)
-        if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
-            raise ValueError(f"seeds must be one or more distinct ints >= 0, got {seeds}")
+        check(self)
         if self.setting == "federated":
             if self.federation is None or self.aggregator is None:
                 raise ValueError(
@@ -158,10 +158,6 @@ class ExperimentConfig:
         # value the strategy rejects fails before anything runs
         cells = {"base": self.aggregator}
         if self.grid is not None:
-            if not self.grid or not all(self.grid.values()):
-                raise ValueError("grid must map parameters to non-empty value lists")
-            if self.setting != "federated":
-                raise ValueError("grid search applies to the federated setting only")
             strategy = self.aggregator.strategy
             for key in self.grid:
                 if key not in STRATEGY_FIELDS[strategy]:
@@ -183,17 +179,6 @@ class ExperimentConfig:
                 except AggregationError as exc:
                     raise ValueError(f"grid cell {label}: {exc}") from exc
         object.__setattr__(self, "cells", tuple(cells.items()))
-        if self.fine_tune and self.setting == "individual":
-            raise ValueError("fine_tune applies to shared-model settings only")
-        # fine_tune true needs an epoch to run; fine_tune false needs the default
-        if self.fine_tune_epochs < 1:
-            raise ValueError("fine_tune_epochs must be >= 1")
-        unread_epochs = self.fine_tune_epochs != ExperimentConfig.fine_tune_epochs
-        if not self.fine_tune and unread_epochs:
-            raise ValueError(
-                f"fine_tune_epochs {self.fine_tune_epochs} has no effect with "
-                f"fine_tune false"
-            )
 
 
 def _decode(annotation, value, path: str):
@@ -202,8 +187,9 @@ def _decode(annotation, value, path: str):
     Dataclasses come from mappings (unknown keys and missing fields without
     a default are errors), tuples from lists, and scalars are kept as
     written: bool only from a bool, int from an int that is not a bool,
-    float from an int or a float within the finite float range. Raises
-    ConfigError naming the path.
+    float from a float or an int within the float range. A non-finite float
+    is left to the field's rule, which rejects it. Raises ConfigError naming
+    the path.
     """
     if dataclasses.is_dataclass(annotation):
         return _decode_dataclass(annotation, value, path)
@@ -232,7 +218,9 @@ def _decode(annotation, value, path: str):
     if isinstance(value, bool) and annotation is not bool:
         ok = False
     elif annotation is float:
-        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+        ok = isinstance(value, float) or (
+            isinstance(value, int) and abs(value) <= sys.float_info.max
+        )
     else:
         ok = isinstance(value, annotation)
     if not ok:

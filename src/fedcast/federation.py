@@ -38,6 +38,7 @@ from fedcast.nn.training import (
     train_local,
     train_with_early_stopping,
 )
+from fedcast.schema import Rule, at_least, check, knob
 
 
 class FederationError(ValueError):
@@ -46,20 +47,15 @@ class FederationError(ValueError):
 
 @dataclass(frozen=True)
 class FederationConfig:
-    rounds: int
-    local_epochs: int
-    sampling_fraction: float = 1.0
+    rounds: int = knob(rule=at_least(0))
+    local_epochs: int = knob(rule=at_least(0))
+    sampling_fraction: float = knob(1.0, Rule("in (0, 1]", lambda v: 0.0 < v <= 1.0))
 
     def __post_init__(self) -> None:
-        if self.rounds < 0:
-            raise FederationError("rounds must be >= 0")
-        if self.local_epochs < 0:
-            raise FederationError("local_epochs must be >= 0")
+        check(self, FederationError)
         if self.rounds > 0 and self.local_epochs < 1:
             # A round needs at least one optimizer step per sampled client.
             raise FederationError("local_epochs must be >= 1 when rounds > 0")
-        if not (0.0 < self.sampling_fraction <= 1.0):
-            raise FederationError("sampling_fraction must be in (0, 1]")
 
 
 @dataclass(frozen=True)

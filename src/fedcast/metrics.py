@@ -1,4 +1,4 @@
-"""Forecast error metrics and distribution distance.
+"""Forecast error metrics.
 
 MAE and RMSE follow their textbook definitions; NRMSE divides RMSE by the
 mean of the ground truth, so it is only defined when that mean is nonzero.
@@ -47,21 +47,6 @@ def _paired(predictions, truth) -> tuple[np.ndarray, np.ndarray]:
     if len(predictions) == 0:
         raise ValueError("cannot score zero points")
     return predictions, truth
-
-
-def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic: sup_x |F_a(x) - F_b(x)|.
-
-    Pure distribution distance, no p-value.
-    """
-    a = np.sort(np.asarray(a, dtype=np.float64).ravel())
-    b = np.sort(np.asarray(b, dtype=np.float64).ravel())
-    if len(a) == 0 or len(b) == 0:
-        raise ValueError("KS statistic needs non-empty samples")
-    grid = np.concatenate([a, b])
-    f_a = np.searchsorted(a, grid, side="right") / len(a)
-    f_b = np.searchsorted(b, grid, side="right") / len(b)
-    return float(np.max(np.abs(f_a - f_b)))
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,7 @@ predict exactly zero everywhere.
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import islice
 from typing import Sequence
 
@@ -20,6 +19,8 @@ from fedcast.dataio import WindowedDataset
 from fedcast.nn import engine as eg
 from fedcast.nn.engine import Tensor
 from fedcast.nn.params import Layout, ParameterVector, TensorSpec
+from fedcast.schema import (ALL_POSITIVE, POSITIVE_FINITE, at_least, check, knob,
+                            one_of, read_by)
 
 # The ModelSpec shape fields each architecture reads; it ignores the rest.
 # Every architecture also reads the window, feature, target, optimizer and
@@ -32,7 +33,7 @@ ARCHITECTURE_FIELDS: dict[str, tuple[str, ...]] = {
     "cnn": ("conv_filters", "kernel_size", "dense_units"),
 }
 ARCHITECTURES: tuple[str, ...] = tuple(ARCHITECTURE_FIELDS)
-_SHAPE_FIELDS = {name for reads in ARCHITECTURE_FIELDS.values() for name in reads}
+_BY_ARCHITECTURE = read_by("architecture", ARCHITECTURE_FIELDS)
 
 # Windows per forward pass in predict; bounds its peak memory.
 PREDICT_CHUNK = 512
@@ -50,43 +51,19 @@ class ModelSpec:
     its default, since a value there would change nothing.
     """
 
-    architecture: str
-    window_size: int = 10
-    n_features: int = 11
-    n_targets: int = 5
-    hidden_sizes: tuple[int, ...] = (256, 128, 64)
-    recurrent_units: int = 128
-    dense_units: int = 128
-    conv_filters: tuple[int, ...] = (16, 16, 32, 32)
-    kernel_size: int = 3
-    learning_rate: float = 0.001
-    batch_size: int = 128
+    architecture: str = knob(rule=one_of(ARCHITECTURES))
+    window_size: int = knob(10, at_least(1))
+    n_features: int = knob(11, at_least(1))
+    n_targets: int = knob(5, at_least(1))
+    hidden_sizes: tuple[int, ...] = knob((256, 128, 64), ALL_POSITIVE, _BY_ARCHITECTURE)
+    recurrent_units: int = knob(128, at_least(1), _BY_ARCHITECTURE)
+    dense_units: int = knob(128, at_least(1), _BY_ARCHITECTURE)
+    conv_filters: tuple[int, ...] = knob((16, 16, 32, 32), ALL_POSITIVE, _BY_ARCHITECTURE)
+    kernel_size: int = knob(3, at_least(1), _BY_ARCHITECTURE)
+    learning_rate: float = knob(0.001, POSITIVE_FINITE)
+    batch_size: int = knob(128, at_least(1))
 
-    def __post_init__(self) -> None:
-        if self.architecture not in ARCHITECTURES:
-            raise ValueError(
-                f"unknown architecture {self.architecture!r}, "
-                f"expected one of {ARCHITECTURES}"
-            )
-        for name in ("window_size", "n_features", "n_targets", "recurrent_units",
-                     "dense_units", "kernel_size", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        for name in ("hidden_sizes", "conv_filters"):
-            if any(n < 1 for n in getattr(self, name)):
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ValueError(
-                f"learning_rate must be positive and finite, got {self.learning_rate}"
-            )
-        reads = ARCHITECTURE_FIELDS[self.architecture]
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name in _SHAPE_FIELDS and f.name not in reads and value != f.default:
-                raise ValueError(
-                    f"{f.name} {value!r} is not read by architecture "
-                    f"{self.architecture!r}, which reads {list(reads)}"
-                )
+    __post_init__ = check
 
 
 @functools.cache

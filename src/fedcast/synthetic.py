@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from fedcast.dataio import FEATURES, N_FEATURES, TimeSeriesDataset
+from fedcast.schema import (FINITE, FRACTION, NON_EMPTY, NON_NEGATIVE_FINITE,
+                            POSITIVE_FINITE, Rule, at_least, check, knob, read_if)
 
 OBSERVATIONS_PER_DAY = 720
 STEP_SECONDS = 86400 // OBSERVATIONS_PER_DAY
@@ -27,56 +29,51 @@ FEATURE_BASELINES: tuple[float, ...] = (
 )
 
 
+def _is_datetime(value) -> bool:
+    """Whether np.datetime64 reads value as a date-time other than NaT."""
+    try:
+        return not np.isnat(np.datetime64(value, "s"))
+    except (TypeError, ValueError):
+        return False
+
+
+# A client id names its trace file, <client_id>.csv inside the output directory.
+_FILE_STEM = Rule(
+    "a file name stem: non-empty, without '/', '\\' or NUL, not starting with '.'",
+    lambda v: v != "" and v[0] != "." and not any(c in v for c in "/\\\0"),
+)
+
+
 @dataclass(frozen=True)
 class SyntheticClientSpec:
     """Generator profile for one client."""
 
-    client_id: str
-    days: int = 2
-    base_level: float = 1.0
-    daily_amplitude: float = 0.4
-    weekly_amplitude: float = 0.15
-    noise_scale: float = 0.05
-    spike_probability: float = 0.0
-    spike_magnitude: float = 10.0
-    phase: float = 0.0
-    start: str = "2018-01-01T00:00:00"
+    client_id: str = knob(rule=_FILE_STEM)
+    days: int = knob(2, at_least(1))
+    base_level: float = knob(1.0, POSITIVE_FINITE)
+    daily_amplitude: float = knob(0.4, FINITE)
+    weekly_amplitude: float = knob(0.15, FINITE)
+    noise_scale: float = knob(0.05, NON_NEGATIVE_FINITE)
+    spike_probability: float = knob(0.0, FRACTION)
+    # a spike multiplies a row by a factor drawn from [1, magnitude)
+    spike_magnitude: float = knob(
+        10.0, Rule(">= 1 and finite", lambda v: 1.0 <= v < math.inf),
+        read_if("spike_probability", lambda p: p > 0.0),
+    )
+    phase: float = knob(0.0, FINITE)
+    start: str = knob("2018-01-01T00:00:00",
+                      Rule("an ISO 8601 date-time", _is_datetime))
 
-    def __post_init__(self) -> None:
-        # each message starts with the field name, so a config error names
-        # the field's path
-        def check(name: str, ok: bool, rule: str) -> None:
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got "
-                                 f"{getattr(self, name)} ({self.client_id})")
-
-        check("days", self.days >= 1, ">= 1")
-        check("base_level", 0.0 < self.base_level < math.inf, "positive and finite")
-        for name in ("daily_amplitude", "weekly_amplitude", "phase"):
-            check(name, math.isfinite(getattr(self, name)), "finite")
-        check("noise_scale", 0.0 <= self.noise_scale < math.inf, ">= 0 and finite")
-        check("spike_probability", 0.0 <= self.spike_probability < 1.0, "in [0, 1)")
-        # a spike multiplies a row by a factor drawn from [1, magnitude)
-        check("spike_magnitude", 1.0 <= self.spike_magnitude < math.inf,
-              ">= 1 and finite")
-        if (self.spike_probability == 0.0
-                and self.spike_magnitude != SyntheticClientSpec.spike_magnitude):
-            raise ValueError(
-                f"spike_magnitude {self.spike_magnitude} has no effect with "
-                f"spike_probability 0 ({self.client_id})"
-            )
+    __post_init__ = check
 
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    clients: tuple[SyntheticClientSpec, ...]
-    seed: int = 0
+    clients: tuple[SyntheticClientSpec, ...] = knob(rule=NON_EMPTY)
+    seed: int = knob(0, at_least(0))
 
     def __post_init__(self) -> None:
-        if not self.clients:
-            raise ValueError("clients must list at least one client")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check(self)
         ids = [c.client_id for c in self.clients]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate client ids: {ids}")
@@ -89,8 +86,6 @@ class SyntheticSpec:
         spike_probability: float = 0.01,
     ) -> "SyntheticSpec":
         """Draw a heterogeneous cohort: varied days, levels, and phases."""
-        if n_clients < 1:
-            raise ValueError("n_clients must be >= 1")
         lo, hi = day_range
         if not (1 <= lo <= hi):
             raise ValueError("day_range must satisfy 1 <= lo <= hi")

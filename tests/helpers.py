@@ -76,3 +76,18 @@ def nan_in_hidden_unit(monkeypatch, client_id, seed, unit=3):
         return report
 
     monkeypatch.setattr(federation, "train_local", train_local)
+
+
+def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic: sup_x |F_a(x) - F_b(x)|.
+
+    Pure distribution distance, no p-value.
+    """
+    a = np.sort(np.asarray(a, dtype=np.float64).ravel())
+    b = np.sort(np.asarray(b, dtype=np.float64).ravel())
+    if len(a) == 0 or len(b) == 0:
+        raise ValueError("KS statistic needs non-empty samples")
+    grid = np.concatenate([a, b])
+    f_a = np.searchsorted(a, grid, side="right") / len(a)
+    f_b = np.searchsorted(b, grid, side="right") / len(b)
+    return float(np.max(np.abs(f_a - f_b)))

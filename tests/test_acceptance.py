@@ -36,11 +36,12 @@ from fedcast.federation import (
     run_federated,
     sample_clients,
 )
-from fedcast.metrics import evaluate_forecasts, ks_statistic, mae, nrmse, rmse
+from fedcast.metrics import evaluate_forecasts, mae, nrmse, rmse
 from fedcast.nn.models import ModelSpec, init_model, predict
 from fedcast.nn.params import Layout, ParameterVector, TensorSpec
 from fedcast.nn.training import loss_and_grad, train_local
 from fedcast.synthetic import SyntheticClientSpec, SyntheticSpec, generate_synthetic
+from helpers import ks_statistic
 
 LSTM = ModelSpec(architecture="lstm")
 MLP = ModelSpec(architecture="mlp")

@@ -185,6 +185,25 @@ def test_run_rejects_invalid_config(tmp_path, capsys):
          "has no effect with spike_probability 0", client(spike_magnitude=3.0)),
         ("config.data.synthetic.clients[0].spike_magnitude: spike_magnitude must "
          "be >= 1", client(spike_probability=0.1, spike_magnitude=-5.0)),
+        ("config.preprocessing.lower_percentile: lower_percentile 5.0 has no "
+         "effect with use_flood_cap false", {
+             "preprocessing": {"window_size": 6, "use_flood_cap": False,
+                               "lower_percentile": 5.0}
+         }),
+        ("config.preprocessing.upper_percentile: upper_percentile 95.0 has no "
+         "effect with use_flood_cap false", {
+             "preprocessing": {"window_size": 6, "use_flood_cap": False,
+                               "upper_percentile": 95.0}
+         }),
+        # a start numpy cannot read, and client ids that are no file name stem
+        ("config.data.synthetic.clients[0].start: start must be",
+         client(start="garbage")),
+        ("config.data.synthetic.clients[0].start: start must be",
+         client(start="2018-13-45")),
+        ("config.data.synthetic.clients[0].client_id: client_id must be",
+         client(client_id="../escaped")),
+        ("config.data.synthetic.clients[0].client_id: client_id must be",
+         client(client_id="")),
     ] + [
         # one synthetic day splits 432/144/144 rows, so window 150 leaves no
         # test (or validation) windows in any setting
@@ -200,6 +219,17 @@ def test_run_rejects_invalid_config(tmp_path, capsys):
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
         assert not out_dir.exists()
+    # generate writes each trace as <client_id>.csv inside --out-dir and
+    # nowhere else, so a client id that is no file name stem writes nothing
+    for client_id in ("../escaped", "", ".hidden", "a/b"):
+        bad = write_config(tmp_path, **client(client_id=client_id))
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["generate", "--config", str(bad),
+                     "--out-dir", str(out_dir / "traces")]) == 2
+        err = capsys.readouterr().err
+        assert "config.data.synthetic.clients[0].client_id" in err
+        assert "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
     # a file that is not YAML, or not a file, is named in the error
     broken = tmp_path / "broken.yaml"
     broken.write_text("name: [\n")

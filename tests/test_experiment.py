@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import gc
 import json
 import re
+import typing
 import weakref
 from pathlib import Path
 
@@ -129,7 +131,9 @@ def test_config_validation_rules(tmp_path):
     with pytest.raises(ValueError, match="'mu' is not a tunable parameter of "
                                          "strategy 'fedavg'"):
         tiny_config(tmp_path, grid={"mu": (0.1, 1.0)})
-    with pytest.raises(ValueError, match="per_client_percentiles has no effect"):
+    with pytest.raises(ValueError, match=r"^per_client_percentiles \{'bs000': "
+                                         r"\(40\.0, 60\.0\)\} has no effect with "
+                                         r"use_flood_cap false$"):
         PreprocessConfig(use_flood_cap=False,
                          per_client_percentiles={"bs000": (40.0, 60.0)})
     with pytest.raises(ValueError, match="fine_tune"):
@@ -190,9 +194,37 @@ def test_config_without_preprocessing_uses_defaults(tmp_path):
     assert config_from_dict(raw).preprocessing == PreprocessConfig()
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+def _config_sections(cls=ExperimentConfig, prefix=""):
+    """(config dataclass, path prefix of its fields) of cls and every section
+    below it; a tuple of sections is reached through its first item."""
+    yield cls, prefix
+    for f in dataclasses.fields(cls):
+        hint = typing.get_type_hints(cls)[f.name]
+        inner = next((a for a in typing.get_args(hint) if dataclasses.is_dataclass(a)),
+                     hint)
+        if dataclasses.is_dataclass(inner):
+            index = "[0]" if typing.get_origin(hint) is tuple else ""
+            yield from _config_sections(inner, f"{prefix}{f.name}{index}.")
+
+
+CONFIG_SECTIONS = list(_config_sections())
+# (class, field name, config path) of every float field
+FLOAT_FIELDS = [
+    (cls, f.name, prefix + f.name)
+    for cls, prefix in CONFIG_SECTIONS
+    for f in dataclasses.fields(cls)
+    if typing.get_type_hints(cls)[f.name] is float
+]
+
+
 # Every value rule whose message starts with its field name, so a reworded
-# message that no longer resolves to the field's path fails here.
-@pytest.mark.parametrize("path, value", [
+# message that no longer resolves to the field's path fails here. Every field
+# with a declared rule has a case (test_every_ruled_field_has_a_rejected_case)
+# and every float field rejects NaN and both infinities.
+FIELD_CASES = [
     ("seeds", [-1]),
     ("fine_tune_epochs", -1),
     ("federation.rounds", -1),
@@ -213,10 +245,33 @@ def test_config_without_preprocessing_uses_defaults(tmp_path):
     ("aggregator.beta", 1.0),
     ("aggregator.adaptivity", 0.0),
     ("fine_tune_epochs", 7),
-])
+    ("setting", "cluster"),
+    ("grid", {}),
+    ("grid", {"server_lr": []}),
+    ("data.paths", []),
+    ("preprocessing.scaling_scope", "other"),
+    ("model.architecture", "transformer"),
+    ("model.n_features", 0),
+    ("model.n_targets", 0),
+    ("model.recurrent_units", 0),
+    ("model.dense_units", 0),
+    ("model.kernel_size", 0),
+    ("aggregator.strategy", "fedsgd"),
+    ("data.synthetic.clients[0].client_id", ""),
+    ("data.synthetic.clients[0].client_id", "../escaped"),
+    ("data.synthetic.clients[0].client_id", "a\\b"),
+    ("data.synthetic.clients[0].client_id", ".hidden"),
+    ("data.synthetic.clients[0].days", 0),
+    ("data.synthetic.clients[0].start", "garbage"),
+    ("data.synthetic.clients[0].start", "2018-13-45"),
+    ("data.synthetic.clients[0].start", "NaT"),
+] + [(path, value) for _, _, path in FLOAT_FIELDS for value in (NAN, INF, -INF)]
+
+
+@pytest.mark.parametrize("path, value", FIELD_CASES)
 def test_value_rule_reported_at_field_path(tmp_path, path, value):
     raw = config_to_dict(tiny_config(tmp_path))
-    *sections, field = path.split(".")
+    *sections, field = [int(k) if k.isdigit() else k for k in re.findall(r"\w+", path)]
     node = raw
     for key in sections:
         node = node[key]
@@ -224,6 +279,20 @@ def test_value_rule_reported_at_field_path(tmp_path, path, value):
     with pytest.raises(ConfigError) as exc:
         config_from_dict(raw)
     assert str(exc.value).startswith(f"config.{path}: {field} ")
+
+
+def test_every_ruled_field_has_a_rejected_case():
+    assert {cls for cls, _ in CONFIG_SECTIONS} == {
+        ExperimentConfig, TrainingConfig, DataConfig, PreprocessConfig, ModelSpec,
+        AggregatorConfig, FederationConfig, SyntheticSpec, SyntheticClientSpec,
+    }
+    ruled = {
+        prefix + f.name
+        for cls, prefix in CONFIG_SECTIONS
+        for f in dataclasses.fields(cls)
+        if f.metadata.get("rule") is not None
+    }
+    assert ruled - {path for path, _ in FIELD_CASES} == set()
 
 
 @pytest.mark.parametrize("preprocessing, field", [
@@ -280,10 +349,11 @@ def test_model_field_the_architecture_reads_changes_its_layout(
 
 
 
-NAN, INF = float("nan"), float("inf")
-
-
-@pytest.mark.parametrize("cls, kwargs, field, value", [
+# The fields a config class needs before any other can be set.
+REQUIRED = {AggregatorConfig: {"strategy": "fedavg"}, ModelSpec: {"architecture": "mlp"},
+            FederationConfig: {"rounds": 1, "local_epochs": 1}, PreprocessConfig: {},
+            SyntheticClientSpec: {"client_id": "bs000"}}
+NON_FINITE_CASES = [
     (AggregatorConfig, {"strategy": "fedadam"}, "server_lr", NAN),
     (AggregatorConfig, {"strategy": "fedadam"}, "server_lr", INF),
     (AggregatorConfig, {"strategy": "fedprox"}, "mu", NAN),
@@ -306,10 +376,20 @@ NAN, INF = float("nan"), float("inf")
     (SyntheticClientSpec, {"client_id": "bs000"}, "spike_probability", NAN),
     (SyntheticClientSpec, {"client_id": "bs000", "spike_probability": 0.1},
      "spike_magnitude", INF),
-])
+]
+# every other (float field, non-finite value) pair
+NON_FINITE_CASES += [
+    (cls, REQUIRED[cls], name, value)
+    for cls, name, _ in FLOAT_FIELDS
+    for value in (NAN, INF, -INF)
+    if (cls, name, repr(value)) not in {(c, f, repr(v)) for c, _, f, v in NON_FINITE_CASES}
+]
+
+
+@pytest.mark.parametrize("cls, kwargs, field, value", NON_FINITE_CASES)
 def test_non_finite_value_fails_naming_its_field(cls, kwargs, field, value):
-    # the YAML decoder rejects non-finite floats itself; through the Python
-    # API the field's own rule must, with a message that starts with the
+    # a non-finite float, whether from the Python API or from a config, is
+    # rejected by the field's own rule, with a message that starts with the
     # field name, which is how a config error finds the field's path
     cls(**kwargs)
     with pytest.raises(ValueError) as exc:

@@ -222,11 +222,13 @@ def client_values(draw, min_rows=5, max_rows=200):
 def configs(draw, client_ids):
     use_flood_cap = draw(st.booleans())
     percentiles = st.tuples(st.floats(1.0, 49.0), st.floats(51.0, 99.0))
-    overrides = {}
+    # the percentiles are read only with flooring and capping on, and must
+    # keep their defaults with it off
+    overrides, (lower, upper) = {}, (10.0, 90.0)
     if use_flood_cap:
         for cid in draw(st.sets(st.sampled_from(client_ids))):
             overrides[cid] = draw(percentiles)
-    lower, upper = draw(st.one_of(st.just((10.0, 90.0)), percentiles))
+        lower, upper = draw(st.one_of(st.just((10.0, 90.0)), percentiles))
     return PreprocessConfig(
         window_size=draw(st.integers(1, 12)),
         use_flood_cap=use_flood_cap,

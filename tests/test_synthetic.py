@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fedcast.dataio import FEATURES
-from fedcast.metrics import ks_statistic
 from fedcast.synthetic import (
     FEATURE_BASELINES,
     OBSERVATIONS_PER_DAY,
@@ -11,6 +10,7 @@ from fedcast.synthetic import (
     generate_client,
     generate_synthetic,
 )
+from helpers import ks_statistic
 
 
 def spec_for(cid="bs000", **kw):
