@@ -5,9 +5,11 @@
 # federated config (fedadam over a two-cell server_lr grid, a server rule
 # that no benchmark workload runs) and an individual-setting GRU and RNN
 # config (the two forwards no benchmark workload runs) on its CSVs twice
-# each, require each pair of output trees to be identical, and report. A
-# config with a malformed synthetic start must exit 2 naming the field,
-# without a traceback.
+# each, require each pair of output trees to be identical, and report.
+# Three configs must be refused with exit 2, no traceback and no run
+# directory: a malformed synthetic start and a federation section in the
+# centralized setting, each naming its field, and a trace whose DownLink is
+# all zero, naming its client.
 #
 # Usage: sh .github/cli-smoke.sh [WORK_DIR]   (default: a new temporary dir)
 set -eu
@@ -30,17 +32,22 @@ model: {architecture: mlp, hidden_sizes: [16]}
 EOF
 fedcast generate --config cohort.yaml --out-dir traces
 
+# refused NAME PATTERN: NAME.yaml must exit 2 with PATTERN on stderr, no
+# traceback and no run directory.
+refused() {
+  status=0
+  fedcast run --config "$1.yaml" --output-dir "runs/$1" 2> "$1.err" || status=$?
+  if [ "$status" -ne 2 ] || ! grep -q "$2" "$1.err" || grep -q Traceback "$1.err" \
+      || [ -e "runs/$1" ]; then
+    echo "$1.yaml exited $status:" >&2
+    cat "$1.err" >&2
+    exit 1
+  fi
+}
+
 sed 's/{client_id: bs000, days: 1}/{client_id: bs000, days: 1, start: "2018-13-45"}/' \
   cohort.yaml > bad-start.yaml
-status=0
-fedcast run --config bad-start.yaml --output-dir runs/bad-start 2> bad-start.err \
-  || status=$?
-if [ "$status" -ne 2 ] || ! grep -q 'clients\[0\]\.start' bad-start.err \
-    || grep -q Traceback bad-start.err; then
-  echo "a malformed start exited $status:" >&2
-  cat bad-start.err >&2
-  exit 1
-fi
+refused bad-start 'clients\[0\]\.start'
 
 cat > centralized.yaml <<EOF
 name: smoke-centralized
@@ -54,6 +61,15 @@ data:
 model: {architecture: mlp, hidden_sizes: [16]}
 training: {max_epochs: 2, patience: 2}
 EOF
+{ cat centralized.yaml; echo 'federation: {rounds: 2, local_epochs: 1}'; } \
+  > unread-federation.yaml
+refused unread-federation 'config\.federation: federation .* has no effect'
+# the NRMSE of an all-zero DownLink is undefined
+mkdir -p zero
+awk -F, 'BEGIN { OFS = "," } NR > 1 { $2 = 0 } { print }' traces/bs001.csv \
+  > zero/bs001.csv
+sed "s#$PWD/traces/bs001.csv#$PWD/zero/bs001.csv#" centralized.yaml > zero-mean.yaml
+refused zero-mean 'bs001: DownLink has zero mean'
 cat > federated.yaml <<EOF
 name: smoke-federated
 setting: federated

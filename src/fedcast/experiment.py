@@ -35,8 +35,9 @@ import numpy as np
 import yaml
 
 from fedcast import __version__
-from fedcast.aggregation import STRATEGY_FIELDS, AggregationError, AggregatorConfig
+from fedcast.aggregation import _BY_STRATEGY, AggregationError, AggregatorConfig
 from fedcast.dataio import (
+    FEATURES,
     N_FEATURES,
     N_TARGETS,
     ClientWindows,
@@ -64,6 +65,8 @@ from fedcast.schema import NON_EMPTY, Rule, at_least, check, knob, one_of, read_
 from fedcast.synthetic import SyntheticSpec, generate_synthetic
 
 SETTINGS = ("individual", "centralized", "federated")
+_FEDERATED = read_if("setting", lambda s: s == "federated")
+_NOT_FEDERATED = read_if("setting", lambda s: s != "federated")
 # Client-mean test metrics of a run: RunResult fields, summary mean/std pairs
 # and the final rows of emit_plot_data, in this order.
 HEADLINE_METRICS = ("avg_nrmse", "avg_mae", "avg_rmse")
@@ -114,36 +117,24 @@ class ExperimentConfig:
     data: DataConfig
     model: ModelSpec
     preprocessing: PreprocessConfig = PreprocessConfig()
-    training: TrainingConfig = TrainingConfig()
-    federation: Optional[FederationConfig] = None
-    aggregator: Optional[AggregatorConfig] = None
+    training: TrainingConfig = knob(TrainingConfig(), reads=_NOT_FEDERATED)
+    federation: Optional[FederationConfig] = knob(None, reads=_FEDERATED)
+    aggregator: Optional[AggregatorConfig] = knob(None, reads=_FEDERATED)
     grid: Optional[dict[str, tuple[float, ...]]] = knob(
         None,
         Rule("a non-empty mapping of parameters to non-empty value lists",
              lambda g: len(g) > 0 and all(g.values())),
-        read_if("setting", lambda s: s == "federated"),
+        _FEDERATED,
     )
     fine_tune: bool = knob(False, reads=read_if("setting", lambda s: s != "individual"))
     fine_tune_epochs: int = knob(3, at_least(1), read_if("fine_tune", bool))
 
     def __post_init__(self) -> None:
         check(self)
-        if self.setting == "federated":
-            if self.federation is None or self.aggregator is None:
-                raise ValueError(
-                    "federated setting requires federation and aggregator sections"
-                )
-            if self.training != ExperimentConfig.training:
-                raise ValueError(
-                    "training budget applies to the individual and centralized "
-                    "settings only"
-                )
-        else:
-            for section in ("federation", "aggregator"):
-                if getattr(self, section) is not None:
-                    raise ValueError(
-                        f"{section} applies to the federated setting only"
-                    )
+        if self.setting == "federated" and None in (self.federation, self.aggregator):
+            raise ValueError(
+                "federated setting requires federation and aggregator sections"
+            )
         # CSV and synthetic data always have the fixed 11-feature, 5-target
         # schema, windowed at preprocessing.window_size.
         data_shape = (self.preprocessing.window_size, N_FEATURES, N_TARGETS)
@@ -158,13 +149,10 @@ class ExperimentConfig:
         # value the strategy rejects fails before anything runs
         cells = {"base": self.aggregator}
         if self.grid is not None:
-            strategy = self.aggregator.strategy
             for key in self.grid:
-                if key not in STRATEGY_FIELDS[strategy]:
-                    raise ValueError(
-                        f"grid key {key!r} is not a tunable parameter of strategy "
-                        f"{strategy!r}, which reads {list(STRATEGY_FIELDS[strategy])}"
-                    )
+                why = _BY_STRATEGY(self.aggregator, key)
+                if why:
+                    raise ValueError(f"grid key {key!r} {why}")
             keys = sorted(self.grid)
             cells = {}
             for combo in itertools.product(*(self.grid[k] for k in keys)):
@@ -398,7 +386,9 @@ def _check_windows(config: ExperimentConfig, clients: Sequence[ClientWindows]) -
     Every client is scored on its test windows. Training validates on every
     client in the individual setting and on at least one in the others. The
     60/20/20 split gives train at least as many rows as test, so a client
-    with test windows has train windows too.
+    with test windows has train windows too. The headline NRMSE divides by
+    the mean of each traffic target over a client's test windows, in
+    original units, so a zero mean there is refused here, before training.
     """
     rules = [("test", any)]
     if config.setting == "individual":
@@ -414,6 +404,15 @@ def _check_windows(config: ExperimentConfig, clients: Sequence[ClientWindows]) -
                 f"{config.preprocessing.window_size} needs more rows in the "
                 f"{split} split"
             )
+    for cw in clients:
+        span = cw.scaler.maximum - cw.scaler.minimum
+        for j, name in enumerate(FEATURES[:2]):
+            # inverse_scale_array's values for this column, bit for bit, so
+            # the verdict is evaluate_forecasts', without a five-column copy
+            column = cw.test.targets[:, j] * span[j] + cw.scaler.minimum[j]
+            if np.mean(column) == 0.0:
+                raise DataError(f"{cw.client_id}: {name} has zero mean over the "
+                                f"test windows, so its NRMSE is undefined")
 
 
 def run_experiment(

@@ -35,9 +35,6 @@ ARCHITECTURE_FIELDS: dict[str, tuple[str, ...]] = {
 ARCHITECTURES: tuple[str, ...] = tuple(ARCHITECTURE_FIELDS)
 _BY_ARCHITECTURE = read_by("architecture", ARCHITECTURE_FIELDS)
 
-# Windows per forward pass in predict; bounds its peak memory.
-PREDICT_CHUNK = 512
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -46,9 +43,11 @@ class ModelSpec:
     Defaults follow the reference configuration: 10-step windows over 11
     features, 5 targets, MLP hidden stack (256, 128, 64), 128 recurrent
     units with a 128-unit ReLU head, CNN filters (16, 16, 32, 32) with 3x3
-    kernels, Adam at lr 0.001, batch size 128. Each architecture reads only
-    its ARCHITECTURE_FIELDS entry of the shape fields; any other must keep
-    its default, since a value there would change nothing.
+    kernels, Adam at lr 0.001, batch size 128. batch_size is also the
+    number of windows predict runs per forward pass, so inference never
+    holds more than one training step's activations. Each architecture
+    reads only its ARCHITECTURE_FIELDS entry of the shape fields; any other
+    must keep its default, since a value there would change nothing.
     """
 
     architecture: str = knob(rule=one_of(ARCHITECTURES))
@@ -171,15 +170,16 @@ def check_layout(spec: ModelSpec, params: ParameterVector) -> None:
 def predict(
     spec: ModelSpec, params: ParameterVector, inputs: np.ndarray | WindowedDataset
 ) -> np.ndarray:
-    """Predict (batch, n_targets) in chunks of PREDICT_CHUNK windows.
+    """Predict (batch, n_targets) in chunks of spec.batch_size windows.
 
     inputs is a (batch, T, d) array or a WindowedDataset, whose windows are
     gathered one chunk at a time. The graph of one chunk is dropped before
-    the next is built, so peak memory is bounded by the chunk, not by
-    len(inputs). Chunked matmuls can round differently from one full-batch
-    forward_graph call, so agreement with it is to float precision, not
-    bitwise; the chunk boundaries depend only on the input length, so
-    repeated calls are bit-identical.
+    the next is built, so peak memory is bounded by one chunk, the size of
+    a training batch, not by len(inputs). Chunked matmuls can round
+    differently from one full-batch forward_graph call, so agreement with
+    it is to float precision, not bitwise; the chunk boundaries depend only
+    on the input length and the batch size, so repeated calls are
+    bit-identical.
     """
     check_layout(spec, params)
     if isinstance(inputs, WindowedDataset):
@@ -189,8 +189,8 @@ def predict(
         chunk = np.asarray(inputs, dtype=np.float64).__getitem__
     constants = leaf_tensors(params, requires_grad=False)
     parts = [
-        forward_graph(spec, constants, chunk(slice(i, i + PREDICT_CHUNK))).data
+        forward_graph(spec, constants, chunk(slice(i, i + spec.batch_size))).data
         # at least one chunk, so zero windows give a (0, n_targets) result
-        for i in range(0, max(len(inputs), 1), PREDICT_CHUNK)
+        for i in range(0, max(len(inputs), 1), spec.batch_size)
     ]
     return np.concatenate(parts, axis=0)

@@ -4,7 +4,7 @@ import pytest
 import yaml
 
 from fedcast.cli import main
-from fedcast.dataio import FEATURES, load_csv
+from fedcast.dataio import FEATURES, load_csv, save_csv
 from helpers import nan_in_hidden_unit
 
 
@@ -147,9 +147,10 @@ def test_run_rejects_invalid_config(tmp_path, capsys):
             "federation": {"rounds": 2, "local_epochs": 1, "seed": 7}
         }),
         # knobs that would change nothing: a grid key the strategy never
-        # reads, percentile overrides with flooring and capping off
-        ("config.grid: grid key 'mu' is not a tunable parameter of strategy "
-         "'fedavg'", {"grid": {"mu": [0.1, 1.0]}}),
+        # reads, percentile overrides with flooring and capping off (a
+        # trailing newline pins the end of a message)
+        ("config.grid: grid key 'mu' is not read by strategy 'fedavg', which "
+         "reads ['server_lr']\n", {"grid": {"mu": [0.1, 1.0]}}),
         ("config.preprocessing.per_client_percentiles", {
             "preprocessing": {"window_size": 6, "use_flood_cap": False,
                               "per_client_percentiles": {"bs000": [40.0, 60.0]}}
@@ -166,13 +167,17 @@ def test_run_rejects_invalid_config(tmp_path, capsys):
             "grid": {"server_lr": [0.0]}
         }),
         # a section or value that the setting never reads
-        ("config.federation: federation applies to the federated setting only", {
+        ("config.federation: federation FederationConfig(rounds=2, local_epochs=1, "
+         "sampling_fraction=1.0) has no effect with setting 'centralized'\n", {
             "setting": "centralized", "federation": {"rounds": 2, "local_epochs": 1}
         }),
-        ("config.aggregator: aggregator applies to the federated setting only", {
+        ("config.aggregator: aggregator AggregatorConfig(strategy='fedavg', "
+         "server_lr=1.0, mu=0.0, beta=0.0, rho=0.0, beta1=0.9, beta2=0.99, "
+         "adaptivity=0.001) has no effect with setting 'individual'\n", {
             "setting": "individual", "aggregator": {"strategy": "fedavg"}
         }),
-        ("config.training: training budget applies to the individual", {
+        ("config.training: training TrainingConfig(max_epochs=5, patience=50) has "
+         "no effect with setting 'federated'\n", {
             "training": {"max_epochs": 5}
         }),
         ("config.fine_tune_epochs: fine_tune_epochs 7 has no effect", {
@@ -268,6 +273,27 @@ def test_run_rejects_a_trace_too_short_to_split(tmp_path, capsys):
     assert main(["run", "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert err == "error: bs000: need at least 5 rows to split, have 4\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("target", ["DownLink", "UpLink"])
+def test_run_rejects_a_zero_mean_traffic_target(tmp_path, capsys, target):
+    # the headline NRMSE divides by each traffic target's test mean, so an
+    # all-zero column fails before training, not in scoring after it
+    data_dir = tmp_path / "data"
+    assert main(["generate", "--config", str(write_config(tmp_path)),
+                 "--out-dir", str(data_dir)]) == 0
+    trace = load_csv(data_dir / "bs001.csv")
+    trace.values[:, FEATURES.index(target)] = 0.0
+    save_csv(trace, data_dir / "bs001.csv")
+    paths = [str(data_dir / "bs000.csv"), str(data_dir / "bs001.csv")]
+    config = write_config(tmp_path, setting="centralized", data={"paths": paths})
+    capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: bs001: {target} has zero mean over the test windows, so its "
+        "NRMSE is undefined\n"
+    )
     assert not (tmp_path / "out").exists()
 
 

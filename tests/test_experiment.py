@@ -125,11 +125,13 @@ def test_config_validation_rules(tmp_path):
         tiny_config(tmp_path, federation=None)
     with pytest.raises(ValueError, match="grid"):
         tiny_config(tmp_path, setting="centralized", grid={"mu": (0.1,)})
-    with pytest.raises(ValueError, match="not a tunable"):
+    with pytest.raises(ValueError, match=r"^grid key 'strategy' is not read by "
+                                         r"strategy 'fedavg', which reads "
+                                         r"\['server_lr'\]$"):
         tiny_config(tmp_path, grid={"strategy": ("fedavg",)})
     # a key the strategy never reads would train one model under many labels
-    with pytest.raises(ValueError, match="'mu' is not a tunable parameter of "
-                                         "strategy 'fedavg'"):
+    with pytest.raises(ValueError, match=r"^grid key 'mu' is not read by strategy "
+                                         r"'fedavg', which reads \['server_lr'\]$"):
         tiny_config(tmp_path, grid={"mu": (0.1, 1.0)})
     with pytest.raises(ValueError, match=r"^per_client_percentiles \{'bs000': "
                                          r"\(40\.0, 60\.0\)\} has no effect with "

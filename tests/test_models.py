@@ -6,7 +6,6 @@ import pytest
 from fedcast.dataio import make_windows
 from fedcast.nn.models import (
     ARCHITECTURES,
-    PREDICT_CHUNK,
     ModelSpec,
     forward_graph,
     init_model,
@@ -167,7 +166,7 @@ def test_predict_chunking_matches_forward():
     # three chunks, the last a single window, against one unchunked graph
     spec = ModelSpec(architecture="mlp", hidden_sizes=(16,))
     pv = init_model(spec, 1)
-    n = 2 * PREDICT_CHUNK + 1
+    n = 2 * spec.batch_size + 1
     x = np.random.Generator(np.random.PCG64(2)).uniform(0, 1, (n, 10, 11))
     chunked = predict(spec, pv, x)
     whole = forward_graph(spec, leaf_tensors(pv), x).data
@@ -214,7 +213,22 @@ def test_predict_peak_memory_is_bounded_by_the_chunk():
         x = rng.uniform(0, 1, (n, 10, 11))
         return traced_peak(lambda: predict(spec, pv, x))
 
-    assert predict_peak(4 * PREDICT_CHUNK) <= 1.1 * predict_peak(PREDICT_CHUNK)
+    assert predict_peak(4 * spec.batch_size) <= 1.1 * predict_peak(spec.batch_size)
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_predict_peak_memory_is_bounded_by_a_training_step(arch):
+    # predict runs training's batch size per forward pass and keeps no
+    # graph, so scoring never needs more memory than training already took
+    # (512-window chunks peaked 30.8 MB on the CNN against a 26.2 MB step)
+    spec = ModelSpec(architecture=arch)
+    pv = init_model(spec, 0)
+    r = np.random.Generator(np.random.PCG64(7))
+    x = r.uniform(0, 1, (spec.batch_size, 10, 11))
+    y = r.uniform(0, 1, (spec.batch_size, 5))
+    step = traced_peak(lambda: loss_and_grad(spec, pv, x, y))
+    x = r.uniform(0, 1, (4 * spec.batch_size, 10, 11))
+    assert traced_peak(lambda: predict(spec, pv, x)) <= step
 
 
 def widest_cnn_activation_bytes(spec, batch):
@@ -228,9 +242,9 @@ def test_cnn_predict_peak_memory_is_a_few_activations():
     # (2.26 activations measured)
     spec = ModelSpec(architecture="cnn")
     pv = init_model(spec, 0)
-    x = np.random.Generator(np.random.PCG64(4)).uniform(0, 1, (PREDICT_CHUNK, 10, 11))
+    x = np.random.Generator(np.random.PCG64(4)).uniform(0, 1, (spec.batch_size, 10, 11))
     peak = traced_peak(lambda: predict(spec, pv, x))
-    assert peak <= 2.5 * widest_cnn_activation_bytes(spec, PREDICT_CHUNK)
+    assert peak <= 2.5 * widest_cnn_activation_bytes(spec, spec.batch_size)
 
 
 def test_cnn_train_step_peak_memory_is_bounded():
@@ -248,12 +262,12 @@ def test_cnn_train_step_peak_memory_is_bounded():
 
 def test_lstm_predict_keeps_no_per_step_history():
     # with no gradient to form, recurrent runs on one activation slot and
-    # two state slots (7.4 MB measured on 1,024 windows); keeping every
-    # step of a 512-window chunk would take about 40 MB
+    # two state slots (1.9 MB measured on 1,024 windows); keeping every
+    # step of a 128-window chunk would take about 9 MB
     spec = ModelSpec(architecture="lstm")
     pv = init_model(spec, 0)
-    x = np.random.Generator(np.random.PCG64(6)).uniform(0, 1, (2 * PREDICT_CHUNK, 10, 11))
-    assert traced_peak(lambda: predict(spec, pv, x)) <= 10e6
+    x = np.random.Generator(np.random.PCG64(6)).uniform(0, 1, (8 * spec.batch_size, 10, 11))
+    assert traced_peak(lambda: predict(spec, pv, x)) <= 4e6
 
 
 @pytest.mark.parametrize("spec, weights", [

@@ -19,7 +19,6 @@ from fedcast.nn import engine as eg
 from fedcast.nn.engine import Tensor
 from fedcast.nn.models import (
     ARCHITECTURES,
-    PREDICT_CHUNK,
     ModelSpec,
     init_model,
     predict,
@@ -91,8 +90,8 @@ def oracle_predict(spec, params, inputs):
     chunk = np.asarray(inputs, dtype=np.float64).__getitem__
     constants = {t.name: Tensor(params.view(t.name)) for t in params.layout.tensors}
     parts = [
-        oracle_forward_graph(spec, constants, chunk(slice(i, i + PREDICT_CHUNK))).data
-        for i in range(0, max(len(inputs), 1), PREDICT_CHUNK)
+        oracle_forward_graph(spec, constants, chunk(slice(i, i + spec.batch_size))).data
+        for i in range(0, max(len(inputs), 1), spec.batch_size)
     ]
     return np.concatenate(parts, axis=0)
 
@@ -167,11 +166,10 @@ def test_loss_and_grad_bit_equal_to_name_based_model(arch, shape, size):
 
 @pytest.mark.parametrize("arch", ARCHITECTURES)
 @pytest.mark.parametrize("shape, size", [
-    ("reduced", 1), ("reduced", PREDICT_CHUNK + 3), ("reference", 1),
-    ("reference", PREDICT_CHUNK + 3),
+    ("reduced", 1), ("reduced", 515), ("reference", 1), ("reference", 515),
 ])
 def test_predict_bit_equal_to_name_based_model(arch, shape, size):
-    # PREDICT_CHUNK + 3 windows end in a partial chunk of three
+    # 515 windows end in a partial chunk of three at batch sizes 8 and 128
     spec = reduced_spec(arch) if shape == "reduced" else ModelSpec(architecture=arch)
     pv = init_model(spec, 6)
     x, _ = batch(spec, size, seed=size)
