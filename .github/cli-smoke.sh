@@ -6,6 +6,8 @@
 # that no benchmark workload runs) and an individual-setting GRU and RNN
 # config (the two forwards no benchmark workload runs) on its CSVs twice
 # each, require each pair of output trees to be identical, and report.
+# The federated LSTM, GRU and RNN configs run once more under one and then
+# two BLAS threads, and those trees may differ only in environment.json.
 # Three configs must be refused with exit 2, no traceback and no run
 # directory: a malformed synthetic start and a federation section in the
 # centralized setting, each naming its field, and a trace whose DownLink is
@@ -119,6 +121,13 @@ for setting in centralized federated adaptive gru rnn; do
   fedcast run --config "$setting.yaml" --output-dir "runs/$setting-a"
   fedcast run --config "$setting.yaml" --output-dir "runs/$setting-b"
   diff -r "runs/$setting-a" "runs/$setting-b"
+done
+for setting in federated gru rnn; do
+  for threads in 1 2; do
+    OPENBLAS_NUM_THREADS=$threads OMP_NUM_THREADS=$threads \
+      fedcast run --config "$setting.yaml" --output-dir "runs/$setting-threads-$threads"
+  done
+  diff -r -x environment.json "runs/$setting-threads-1" "runs/$setting-threads-2"
 done
 fedcast report --runs runs/centralized-a runs/federated-a runs/adaptive-a \
   runs/gru-a runs/rnn-a --out plot.csv

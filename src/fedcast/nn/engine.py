@@ -22,6 +22,10 @@ Most ops are small and close over their inputs. Three are layer-sized:
   of its four inputs in one backward call. It keeps the gate activations
   and states of every step for the backward pass through time; in no-grad
   mode (as in predict) the same step loop runs on ring buffers instead.
+  The backward pass walks the steps from last to first. It overwrites each
+  step's activation slot with that step's gate gradients and adds them to
+  the weight gradients at once, so it allocates no gradient stack of all
+  steps, and each weight-gradient GEMM sums over the batch of one step.
 """
 
 from __future__ import annotations
@@ -297,7 +301,8 @@ def spatial_mean(a) -> Tensor:
     denom = h * w
 
     def backward(g):
-        _accum(a, np.broadcast_to(g[:, None, None, :] / denom, a.data.shape).copy())
+        # a read-only view: conv2d's backward and _accum only read it
+        _accum(a, np.broadcast_to(g[:, None, None, :] / denom, a.data.shape))
 
     # einsum sums the (H, W) grid in half the time of mean(axis=(1, 2)) at
     # (512, 10, 11, 32), and to the same bits on the reference shapes
@@ -415,18 +420,25 @@ def recurrent(cell: str, x, w_x, w_h, b) -> Tensor:
     gate math. When an input requires a gradient, every step keeps its
     slot: the gate activations of all T steps and the T + 1 states (and the
     LSTM's cell states and tanh(c), the GRU's r*h) stay for the backward
-    pass through time, which forms each weight gradient with one GEMM over
-    the stacked (features, T*B) arrays. Without one (the no-grad mode of
-    predict), the same loop runs over rings of one activation slot and two
-    state slots, so nothing of past steps is kept.
+    pass through time. That pass runs from step T-1 down to 0. It writes
+    step t's pre-activation gradient dz_t over the step's own (G*U, B)
+    slot, then at once adds the step's terms h_t @ dz_t^T and
+    [x_t; 1] @ dz_t^T to the w_h and [w_x; b] gradients. So no (G*U, T*B)
+    gradient stack is allocated, and each weight-gradient GEMM sums over
+    the B rows of one step, whose terms join in a fixed order; OpenBLAS
+    gives them the same bits at one and two threads up to B = 256.
+    Having consumed the activations, the backward closure raises
+    RuntimeError if it is called again. Without a gradient to form (the
+    no-grad mode of predict), the same loop runs over rings of one
+    activation slot and two state slots, so nothing of past steps is kept.
     """
     x, w_x, w_h, b = (_as_tensor(a) for a in (x, w_x, w_h, b))
     cell_forward, cell_backward = _CELLS[cell]
     batch, steps, n_in = x.data.shape
     units, width = w_h.data.shape
-    # Stacks are (features, T, B), so each is a (features, T*B) matrix
-    # without a copy. A row of ones after the d features carries the bias
-    # through the input GEMM, and its gradient through the weight GEMM.
+    # Stacks are (features, T, B); step t is the (features, B) slice [:, t].
+    # A row of ones after the d features carries the bias through the input
+    # GEMM, and its gradient through the weight gradient's.
     xs = np.ones((n_in + 1, steps, batch))
     xs[:n_in] = x.data.transpose(2, 1, 0)
     w_xb = np.vstack([w_x.data, b.data]).T
@@ -436,15 +448,23 @@ def recurrent(cell: str, x, w_x, w_h, b) -> Tensor:
     saved = cell_forward(_steps(xs, w_xb, acts), acts, hs, w_h.data)
 
     def backward(g):
-        dz = np.empty((width, steps, batch))
-        g_w_h = cell_backward(np.ascontiguousarray(g.T), acts, hs, w_h.data, saved, dz)
-        dz = _flat(dz)
-        g_w_xb = _flat(xs) @ dz.T
+        nonlocal acts
+        if acts is None:
+            raise RuntimeError("recurrent: backward can run only once; the first run "
+                               "overwrote the gate activations with gradients")
+        dz, acts = acts, None
+        g_w_h = np.zeros((units, width))
+        g_w_xb = np.zeros((n_in + 1, width))
+        g_x = np.empty((n_in, steps, batch)) if x.requires_grad else None
+        for t in cell_backward(np.ascontiguousarray(g.T), dz, hs, w_h.data, saved, g_w_h):
+            g_w_xb += xs[:, t] @ dz[t].T
+            if g_x is not None:
+                np.matmul(w_x.data, dz[t], out=g_x[:, t])
         _accum(w_x, g_w_xb[:n_in])
         _accum(w_h, g_w_h)
         _accum(b, g_w_xb[n_in])
-        if x.requires_grad:
-            _accum(x, (w_x.data @ dz).reshape(n_in, steps, batch).transpose(2, 1, 0))
+        if g_x is not None:
+            _accum(x, g_x.transpose(2, 1, 0))
 
     last = np.ascontiguousarray(hs[:, steps % (slots + 1)].T)
     return _make(last, (x, w_x, w_h, b), backward)
@@ -456,11 +476,6 @@ def _sigmoid_(z: np.ndarray) -> None:
     np.exp(z, out=z)
     z += 1.0
     np.reciprocal(z, out=z)
-
-
-def _flat(stack: np.ndarray) -> np.ndarray:
-    """A (features, T, B) stack as one (features, T*B) matrix."""
-    return stack.reshape(len(stack), -1)
 
 
 def _blocks(a: np.ndarray, n: int) -> list[np.ndarray]:
@@ -487,9 +502,12 @@ def _steps(xs, w_xb, acts):
 # A cell's forward pass walks _steps: it adds the recurrent GEMM to the
 # projection in acts[a], overwrites it with the gate activations and writes
 # the state into hs[:, s_out]. It returns what else its backward pass needs.
-# The backward pass (T slots only) starts from dL/dh_T (U, B), fills
-# dz[:, t] with the gradient of the pre-activations z of step t and returns
-# the gradient of w_h.
+# The backward pass (T slots only) is a generator that starts from dL/dh_T
+# (U, B) and walks the steps from T-1 down to 0. At step t it overwrites
+# acts[t] with dz_t, the gradient of the pre-activations z of step t,
+# reading each gate before it overwrites it, adds that step's terms to the
+# gradient of w_h in g_w_h, and yields t; acts[t] is not read as gate
+# activations again.
 
 def _rnn_forward(steps, acts, hs, w_h):
     for a, s, s_out in steps:
@@ -499,12 +517,14 @@ def _rnn_forward(steps, acts, hs, w_h):
         hs[:, s_out] = z
 
 
-def _rnn_backward(dh, acts, hs, w_h, saved, dz):
+def _rnn_backward(dh, acts, hs, w_h, saved, g_w_h):
     for t in reversed(range(len(acts))):
-        np.multiply(dh, 1.0 - acts[t] * acts[t], out=dz[:, t])
+        dz = acts[t]  # tanh(z) until this line overwrites it
+        np.multiply(dh, 1.0 - dz * dz, out=dz)
+        g_w_h += hs[:, t] @ dz.T
+        yield t
         if t:
-            dh = w_h @ dz[:, t]
-    return _flat(hs[:, :-1]) @ _flat(dz).T
+            dh = w_h @ dz
 
 
 def _lstm_forward(steps, acts, hs, w_h):
@@ -525,22 +545,23 @@ def _lstm_forward(steps, acts, hs, w_h):
     return cs, tanh_cs
 
 
-def _lstm_backward(dh, acts, hs, w_h, saved, dz):
+def _lstm_backward(dh, acts, hs, w_h, saved, g_w_h):
     cs, tanh_cs = saved
     dc = 0.0
     for t in reversed(range(len(acts))):
         i, f, g, o = _blocks(acts[t], 4)
-        di, df, dg, do = _blocks(dz[:, t], 4)
         tc = tanh_cs[t]
         dc = dc + dh * o * (1.0 - tc * tc)
-        np.multiply(dc * g, i * (1.0 - i), out=di)
-        np.multiply(dc * cs[t], f * (1.0 - f), out=df)
-        np.multiply(dc * i, 1.0 - g * g, out=dg)
-        np.multiply(dh * tc, o * (1.0 - o), out=do)
+        dc_i, dc_f = dc * i, dc * f
+        np.multiply(dc * g, i * (1.0 - i), out=i)
+        np.multiply(dc_i, 1.0 - g * g, out=g)
+        np.multiply(dc * cs[t], f * (1.0 - f), out=f)
+        np.multiply(dh * tc, o * (1.0 - o), out=o)
+        g_w_h += hs[:, t] @ acts[t].T
+        yield t
         if t:
-            dc = dc * f
-            dh = w_h @ dz[:, t]
-    return _flat(hs[:, :-1]) @ _flat(dz).T
+            dc = dc_f
+            dh = w_h @ acts[t]
 
 
 def _gru_forward(steps, acts, hs, w_h):
@@ -560,23 +581,24 @@ def _gru_forward(steps, acts, hs, w_h):
     return rhs
 
 
-def _gru_backward(dh, acts, hs, w_h, rhs, dz):
+def _gru_backward(dh, acts, hs, w_h, rhs, g_w_h):
     units = len(hs)
     w_ru, w_n = w_h[:, : 2 * units], w_h[:, 2 * units :]
+    g_ru, g_n = g_w_h[:, : 2 * units], g_w_h[:, 2 * units :]
     for t in reversed(range(len(acts))):
-        h = hs[:, t]
+        h, dru = hs[:, t], acts[t, : 2 * units]
         r, u, n = _blocks(acts[t], 3)
-        dr, du, dn = _blocks(dz[:, t], 3)
-        np.multiply(dh * u, 1.0 - n * n, out=dn)
-        np.multiply(dh * (n - h), u * (1.0 - u), out=du)
-        d_rh = w_n @ dn
-        np.multiply(d_rh * h, r * (1.0 - r), out=dr)
+        dh_u, carry = dh * u, dh * (1.0 - u)
+        np.multiply(dh * (n - h), u * (1.0 - u), out=u)
+        np.multiply(dh_u, 1.0 - n * n, out=n)
+        d_rh = w_n @ n
+        d_rh_r = d_rh * r
+        np.multiply(d_rh * h, r * (1.0 - r), out=r)
+        g_ru += h @ dru.T
+        g_n += rhs[:, t] @ n.T
+        yield t
         if t:
-            dh = dh * (1.0 - u) + d_rh * r + w_ru @ dz[: 2 * units, t]
-    g_w_h = np.empty_like(w_h)
-    g_w_h[:, : 2 * units] = _flat(hs[:, :-1]) @ _flat(dz[: 2 * units]).T
-    g_w_h[:, 2 * units :] = _flat(rhs) @ _flat(dz[2 * units :]).T
-    return g_w_h
+            dh = carry + d_rh_r + w_ru @ dru
 
 
 _CELLS = {

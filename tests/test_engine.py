@@ -479,6 +479,18 @@ def test_recurrent_grads(cell):
 
 
 @pytest.mark.parametrize("cell", ["rnn", "lstm", "gru"])
+def test_recurrent_backward_refuses_a_second_run(cell):
+    # the first backward pass overwrites the gate activations with their
+    # gradients, so a second would read gradients as gates
+    arrays = recurrent_arrays(cell, batch=3, steps=4, n_in=2, units=5, seed=17)
+    h = engine.recurrent(cell, *(Tensor(a, requires_grad=True) for a in arrays))
+    loss = engine.mean_all(engine.square(h))
+    loss.backward()
+    with pytest.raises(RuntimeError, match="recurrent: backward can run only once"):
+        loss.backward()
+
+
+@pytest.mark.parametrize("cell", ["rnn", "lstm", "gru"])
 @pytest.mark.parametrize("batch", [1, 37, 127])
 @pytest.mark.parametrize("steps", [1, 3, 10])
 def test_recurrent_without_grad_matches_the_grad_forward_bitwise(cell, batch, steps):
