@@ -11,7 +11,8 @@
 # Three configs must be refused with exit 2, no traceback and no run
 # directory: a malformed synthetic start and a federation section in the
 # centralized setting, each naming its field, and a trace whose DownLink is
-# all zero, naming its client.
+# all zero, naming its client. A cohort whose RNTI Count is all zero must
+# run with fine-tuning, and every JSON artifact must parse strictly.
 #
 # Usage: sh .github/cli-smoke.sh [WORK_DIR]   (default: a new temporary dir)
 set -eu
@@ -72,6 +73,16 @@ awk -F, 'BEGIN { OFS = "," } NR > 1 { $2 = 0 } { print }' traces/bs001.csv \
   > zero/bs001.csv
 sed "s#$PWD/traces/bs001.csv#$PWD/zero/bs001.csv#" centralized.yaml > zero-mean.yaml
 refused zero-mean 'bs001: DownLink has zero mean'
+# an all-zero RNTI Count is no traffic target: the run scores, fine-tunes
+# and writes that target's undefined NRMSE as null
+mkdir -p zero-rnti
+for trace in traces/*.csv; do
+  awk -F, 'BEGIN { OFS = "," } NR > 1 { $4 = 0 } { print }' "$trace" \
+    > "zero-rnti/${trace#traces/}"
+done
+{ sed "s#$PWD/traces/#$PWD/zero-rnti/#" centralized.yaml; echo 'fine_tune: true'; } \
+  > zero-rnti.yaml
+fedcast run --config zero-rnti.yaml --output-dir runs/zero-rnti
 cat > federated.yaml <<EOF
 name: smoke-federated
 setting: federated
@@ -129,6 +140,15 @@ for setting in federated gru rnn; do
   done
   diff -r -x environment.json "runs/$setting-threads-1" "runs/$setting-threads-2"
 done
+# every JSON artifact parses strictly: no NaN or Infinity tokens
+find runs -name '*.json' -exec python3 -c '
+import json, sys
+def refuse(token):
+    raise SystemExit(f"{path}: {token} is not JSON")
+for path in sys.argv[1:]:
+    with open(path) as fh:
+        json.load(fh, parse_constant=refuse)
+' {} +
 fedcast report --runs runs/centralized-a runs/federated-a runs/adaptive-a \
   runs/gru-a runs/rnn-a --out plot.csv
 echo "CLI smoke run passed in $work"

@@ -37,7 +37,6 @@ import yaml
 from fedcast import __version__
 from fedcast.aggregation import _BY_STRATEGY, AggregationError, AggregatorConfig
 from fedcast.dataio import (
-    FEATURES,
     N_FEATURES,
     N_TARGETS,
     ClientWindows,
@@ -57,7 +56,9 @@ from fedcast.federation import (
     run_centralized,
     run_federated,
 )
-from fedcast.metrics import MetricReport, evaluate_forecasts
+from fedcast.metrics import (
+    MetricReport, evaluate_forecasts, zero_mean_traffic_targets,
+)
 from fedcast.nn.models import ModelSpec, predict
 from fedcast.nn.params import ParameterVector, serialize_params
 from fedcast.nn.training import TrainReport
@@ -376,7 +377,7 @@ def _fmt(value) -> str:
 
 def _json_dump(path: Path, payload) -> None:
     with _atomic_open(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -388,7 +389,8 @@ def _check_windows(config: ExperimentConfig, clients: Sequence[ClientWindows]) -
     60/20/20 split gives train at least as many rows as test, so a client
     with test windows has train windows too. The headline NRMSE divides by
     the mean of each traffic target over a client's test windows, in
-    original units, so a zero mean there is refused here, before training.
+    original units, so a zero mean there is refused here, before training,
+    by the rule evaluate_forecasts applies.
     """
     rules = [("test", any)]
     if config.setting == "individual":
@@ -405,14 +407,10 @@ def _check_windows(config: ExperimentConfig, clients: Sequence[ClientWindows]) -
                 f"{split} split"
             )
     for cw in clients:
-        span = cw.scaler.maximum - cw.scaler.minimum
-        for j, name in enumerate(FEATURES[:2]):
-            # inverse_scale_array's values for this column, bit for bit, so
-            # the verdict is evaluate_forecasts', without a five-column copy
-            column = cw.test.targets[:, j] * span[j] + cw.scaler.minimum[j]
-            if np.mean(column) == 0.0:
-                raise DataError(f"{cw.client_id}: {name} has zero mean over the "
-                                f"test windows, so its NRMSE is undefined")
+        zero = zero_mean_traffic_targets(cw.test.targets, cw.scaler)
+        if zero:
+            raise DataError(f"{cw.client_id}: {zero[0]} has zero mean over the "
+                            f"test windows, so its NRMSE is undefined")
 
 
 def run_experiment(

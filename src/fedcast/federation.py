@@ -10,7 +10,8 @@ on every client's validation windows. The centralized setting trains on
 pooled windows through the same epoch loop, with early stopping; the
 individual setting is a centralized run per single client. Weights that are
 not finite raise DivergenceError where they first appear: after a client's
-local training, after aggregation, and after a centralized run.
+local training, after aggregation, after a centralized run and after
+fine-tuning.
 """
 
 from __future__ import annotations
@@ -295,15 +296,18 @@ def fine_tune(
     """Continue from the global weights on one client's train windows.
 
     Starts a FRESH Adam state (the server never ships optimizer moments);
-    epochs == 0 returns the global weights unchanged.
+    epochs == 0 returns the global weights unchanged. Weights that are not
+    finite raise DivergenceError naming the client.
     """
-    return train_local(
+    params = train_local(
         spec,
         global_params,
         client.train,
         epochs=epochs,
         seed=client_stream_seed(seed, client.client_id),
     ).params
+    _check_finite(params, f"client {client.client_id}: fine-tuned weights")
+    return params
 
 
 @dataclass(frozen=True)

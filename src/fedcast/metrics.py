@@ -1,65 +1,55 @@
-"""Forecast error metrics.
+"""Forecast error metrics, in original units.
 
-MAE and RMSE follow their textbook definitions; NRMSE divides RMSE by the
-mean of the ground truth, so it is only defined when that mean is nonzero.
-Reported metrics live in ORIGINAL units: evaluate_forecasts inverse-scales
-predictions and truth before measuring anything.
+evaluate_forecasts inverse-scales predictions and truth once each, lays them
+out target-major as C-contiguous (5, n) rows, and takes the MAE, the RMSE,
+the truth mean and NRMSE = RMSE / mean(truth) of all five targets as one
+reduction each along the rows; a contiguous row sums as a lone column would.
+
+The first two targets are the link-traffic series (TRAFFIC_TARGETS), whose
+NRMSE the headline avg_nrmse averages, so each needs a nonzero mean over the
+scored windows: zero_mean_traffic_targets names those that lack it, for
+evaluate_forecasts and for the runner's check before training. Another
+target's NRMSE is None for zero-mean truth, written as null.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from fedcast.dataio import N_TARGETS, ScalerParams, inverse_scale_array, target_scaler
+from fedcast.dataio import (
+    FEATURES, N_TARGETS, ScalerParams, inverse_scale_array, target_scaler,
+)
+
+TRAFFIC_TARGETS = FEATURES[:2]
 
 
-def mae(predictions: np.ndarray, truth: np.ndarray) -> float:
-    """(1/n) sum |y_hat - y|."""
-    predictions, truth = _paired(predictions, truth)
-    return float(np.mean(np.abs(predictions - truth)))
+def zero_mean_traffic_targets(truth: np.ndarray, scaler: ScalerParams) -> list[str]:
+    """Names of the traffic targets whose original-unit mean over truth is 0.
 
-
-def rmse(predictions: np.ndarray, truth: np.ndarray) -> float:
-    """sqrt((1/n) sum (y_hat - y)^2)."""
-    predictions, truth = _paired(predictions, truth)
-    diff = predictions - truth
-    return float(np.sqrt(np.mean(diff * diff)))
-
-
-def nrmse(predictions: np.ndarray, truth: np.ndarray) -> float:
-    """RMSE / mean(truth); undefined (raises) when mean(truth) == 0."""
-    predictions, truth = _paired(predictions, truth)
-    denom = float(np.mean(truth))
-    if denom == 0.0:
-        raise ValueError("NRMSE is undefined for zero-mean ground truth")
-    return rmse(predictions, truth) / denom
-
-
-def _paired(predictions, truth) -> tuple[np.ndarray, np.ndarray]:
-    predictions = np.asarray(predictions, dtype=np.float64).ravel()
-    truth = np.asarray(truth, dtype=np.float64).ravel()
-    if predictions.shape != truth.shape:
-        raise ValueError(
-            f"prediction/truth length mismatch: {predictions.shape} vs {truth.shape}"
-        )
-    if len(predictions) == 0:
-        raise ValueError("cannot score zero points")
-    return predictions, truth
+    truth is (n, >= 2) scaled targets. Only the traffic columns are
+    inverse-scaled, each to inverse_scale_array's values bit for bit.
+    """
+    span = scaler.maximum - scaler.minimum
+    return [
+        name for j, name in enumerate(TRAFFIC_TARGETS)
+        if np.mean(truth[:, j] * span[j] + scaler.minimum[j]) == 0.0
+    ]
 
 
 @dataclass(frozen=True)
 class MetricReport:
     """Original-unit scores for one model on one client's windows.
 
-    avg_* average over all five targets; avg_nrmse averages the first two
-    targets only (the two link-traffic series).
+    avg_* average over all five targets; avg_nrmse averages the traffic
+    targets only. A per-target NRMSE is None where the truth mean is zero.
     """
 
     per_target_mae: tuple[float, ...]
     per_target_rmse: tuple[float, ...]
-    per_target_nrmse: tuple[float, ...]
+    per_target_nrmse: tuple[Optional[float], ...]
     avg_mae: float
     avg_rmse: float
     avg_nrmse: float
@@ -72,9 +62,8 @@ def evaluate_forecasts(
     """Score scaled-space predictions against scaled-space truth.
 
     Both matrices are (n, 5); the scaler's first five features map them back
-    to original units first. Predictions must be finite. Per-target NRMSE is
-    NaN for a zero-mean target, but the two traffic targets that feed
-    avg_nrmse must have nonzero means.
+    to original units first. Predictions must be finite, and the traffic
+    targets must have nonzero truth means.
     """
     predictions = np.asarray(predictions, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
@@ -88,27 +77,25 @@ def evaluate_forecasts(
         raise ValueError("cannot score zero points")
     if not np.isfinite(predictions).all():
         raise ValueError("predictions are not finite: the model diverged")
-    t_scaler = target_scaler(scaler)
-    pred_units = inverse_scale_array(predictions, t_scaler)
-    truth_units = inverse_scale_array(truth, t_scaler)
-
-    maes, rmses, nrmses = [], [], []
-    for j in range(N_TARGETS):
-        p, t = pred_units[:, j], truth_units[:, j]
-        maes.append(mae(p, t))
-        rmses.append(rmse(p, t))
-        try:
-            nrmses.append(nrmse(p, t))
-        except ValueError:  # zero-mean truth
-            nrmses.append(float("nan"))
-    if np.isnan(nrmses[:2]).any():
+    if zero_mean_traffic_targets(truth, scaler):
         raise ValueError("NRMSE is undefined: a traffic target has zero-mean truth")
+    t_scaler = target_scaler(scaler)
+    pred_rows, truth_rows = (
+        np.ascontiguousarray(inverse_scale_array(m, t_scaler).T)
+        for m in (predictions, truth)
+    )
+    diff = pred_rows - truth_rows
+    maes = np.mean(np.abs(diff), axis=1)
+    rmses = np.sqrt(np.mean(diff * diff, axis=1))
+    means = np.mean(truth_rows, axis=1)
+    nrmses = tuple(r / m if m != 0.0 else None
+                   for r, m in zip(rmses.tolist(), means.tolist()))
     return MetricReport(
-        per_target_mae=tuple(maes),
-        per_target_rmse=tuple(rmses),
-        per_target_nrmse=tuple(nrmses),
+        per_target_mae=tuple(maes.tolist()),
+        per_target_rmse=tuple(rmses.tolist()),
+        per_target_nrmse=nrmses,
         avg_mae=float(np.mean(maes)),
         avg_rmse=float(np.mean(rmses)),
-        avg_nrmse=float(np.mean(nrmses[:2])),
+        avg_nrmse=float(np.mean(nrmses[: len(TRAFFIC_TARGETS)])),
         n_points=len(predictions),
     )

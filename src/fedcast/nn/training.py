@@ -134,34 +134,6 @@ class TrainReport:
     state: AdamState
 
 
-class EarlyStopper:
-    """Strict-improvement patience rule.
-
-    update(value) returns True once the streak of non-improving epochs
-    reaches patience. A constant tail after a best at epoch index b stops
-    at index b + patience (inclusive), and best_epoch stays b.
-    """
-
-    def __init__(self, patience: int):
-        if patience < 1:
-            raise ValueError("patience must be >= 1")
-        self.patience = patience
-        self.best = math.inf
-        self.best_epoch: Optional[int] = None
-        self.streak = 0
-        self._count = 0
-
-    def update(self, value: float) -> bool:
-        if value < self.best:
-            self.best = value
-            self.best_epoch = self._count
-            self.streak = 0
-        else:
-            self.streak += 1
-        self._count += 1
-        return self.streak >= self.patience
-
-
 def _train(
     spec: ModelSpec,
     params: ParameterVector,
@@ -172,20 +144,21 @@ def _train(
     proximal_mu: float = 0.0,
     state: Optional[AdamState] = None,
     validation: Optional[WindowedDataset] = None,
-    stopper: Optional[EarlyStopper] = None,
+    patience: Optional[int] = None,
 ) -> TrainReport:
     """The one epoch loop behind train_local and train_with_early_stopping.
 
-    The proximal term anchors to the weights the call starts from. With a
-    stopper, every epoch is scored on validation, the best-epoch weights are
-    kept, and the loop ends once the stopper says so. An epoch whose
-    training loss or validation MSE is not finite raises DivergenceError.
+    The proximal term anchors to the weights the call starts from. With
+    validation windows, every epoch is scored on them and the weights of the
+    best epoch (the first to reach the lowest MSE) are kept; the loop ends
+    once patience epochs have passed since it. An epoch whose training loss
+    or validation MSE is not finite raises DivergenceError.
     """
     if epochs > 0 and train.count == 0:
         raise ValueError("cannot train on zero windows")
     layout = params.layout
     values = params.values.copy()
-    best_values = values
+    best_values, best_mse, best_epoch = values, math.inf, None
     state = state if state is not None else AdamState.zeros(layout.size)
     per_epoch = max(1, math.ceil(train.count / spec.batch_size))
     first_epoch, partial = divmod(state.step, per_epoch)
@@ -219,7 +192,7 @@ def _train(
                 f"epoch {first_epoch + e}: training loss is {epoch_loss}"
             )
         train_losses.append(epoch_loss)
-        if stopper is not None:
+        if validation is not None:
             mse, mae = evaluate(spec, ParameterVector(values, layout), validation)
             if not math.isfinite(mse):
                 raise DivergenceError(
@@ -227,17 +200,17 @@ def _train(
                 )
             val_losses.append(mse)
             val_maes.append(mae)
-            if stopper.best_epoch is None or mse < stopper.best:
-                best_values = values.copy()
-            if stopper.update(mse):
+            if mse < best_mse:
+                best_values, best_mse, best_epoch = values.copy(), mse, e
+            elif e - best_epoch >= patience:
                 break
     return TrainReport(
         train_losses=tuple(train_losses),
         val_losses=tuple(val_losses),
         val_maes=tuple(val_maes),
         steps=total_steps,
-        best_epoch=stopper.best_epoch if stopper is not None else None,
-        params=ParameterVector(best_values if stopper is not None else values,
+        best_epoch=best_epoch,
+        params=ParameterVector(best_values if validation is not None else values,
                                layout),
         state=state,
     )
@@ -282,14 +255,18 @@ def train_with_early_stopping(
 ) -> TrainReport:
     """Train until validation MSE stops improving for `patience` epochs.
 
-    Returns the best-validation-epoch weights in .params. Strictly improving
-    validation loss runs the full max_epochs.
+    Returns the best-validation-epoch weights in .params. Only a strictly
+    lower MSE counts as an improvement: a constant tail after a best at epoch
+    b stops at epoch b + patience. Strictly improving validation loss runs
+    the full max_epochs.
     """
     if max_epochs < 1:
         raise ValueError("max_epochs must be >= 1")
+    if patience < 1:
+        raise ValueError("patience must be >= 1")
     if validation is None or validation.count == 0:
         raise ValueError("early stopping requires non-empty validation windows")
     return _train(
         spec, params, train, max_epochs, seed=seed, validation=validation,
-        stopper=EarlyStopper(patience),
+        patience=patience,
     )

@@ -91,3 +91,40 @@ def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     f_a = np.searchsorted(a, grid, side="right") / len(a)
     f_b = np.searchsorted(b, grid, side="right") / len(b)
     return float(np.max(np.abs(f_a - f_b)))
+
+
+# The scalar metrics evaluate_forecasts once called per target: the bitwise
+# reference for its target-major pass.
+
+def mae(predictions: np.ndarray, truth: np.ndarray) -> float:
+    """(1/n) sum |y_hat - y|."""
+    predictions, truth = _paired(predictions, truth)
+    return float(np.mean(np.abs(predictions - truth)))
+
+
+def rmse(predictions: np.ndarray, truth: np.ndarray) -> float:
+    """sqrt((1/n) sum (y_hat - y)^2)."""
+    predictions, truth = _paired(predictions, truth)
+    diff = predictions - truth
+    return float(np.sqrt(np.mean(diff * diff)))
+
+
+def nrmse(predictions: np.ndarray, truth: np.ndarray) -> float:
+    """RMSE / mean(truth); undefined (raises) when mean(truth) == 0."""
+    predictions, truth = _paired(predictions, truth)
+    denom = float(np.mean(truth))
+    if denom == 0.0:
+        raise ValueError("NRMSE is undefined for zero-mean ground truth")
+    return rmse(predictions, truth) / denom
+
+
+def _paired(predictions, truth) -> tuple[np.ndarray, np.ndarray]:
+    predictions = np.asarray(predictions, dtype=np.float64).ravel()
+    truth = np.asarray(truth, dtype=np.float64).ravel()
+    if predictions.shape != truth.shape:
+        raise ValueError(
+            f"prediction/truth length mismatch: {predictions.shape} vs {truth.shape}"
+        )
+    if len(predictions) == 0:
+        raise ValueError("cannot score zero points")
+    return predictions, truth

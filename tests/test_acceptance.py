@@ -18,7 +18,12 @@ from fedcast.aggregation import (
     ServerState,
     aggregate,
 )
-from fedcast.dataio import PreprocessConfig, TimeSeriesDataset, preprocess_clients
+from fedcast.dataio import (
+    PreprocessConfig,
+    ScalerParams,
+    TimeSeriesDataset,
+    preprocess_clients,
+)
 from fedcast.experiment import (
     DataConfig,
     ExperimentConfig,
@@ -36,7 +41,7 @@ from fedcast.federation import (
     run_federated,
     sample_clients,
 )
-from fedcast.metrics import evaluate_forecasts, mae, nrmse, rmse
+from fedcast.metrics import evaluate_forecasts
 from fedcast.nn.models import ModelSpec, init_model, predict
 from fedcast.nn.params import Layout, ParameterVector, TensorSpec
 from fedcast.nn.training import loss_and_grad, train_local
@@ -349,23 +354,33 @@ def test_criterion_09_federated_close_to_centralized():
 
 
 def test_criterion_10_metric_oracles():
-    # hand fixtures
-    pred = np.array([2.0, 4.0])
-    truth = np.array([1.0, 1.0])
-    assert mae(pred, truth) == 2.0
-    assert rmse(pred, truth) == np.sqrt(5.0)
-    assert nrmse(pred, truth) == np.sqrt(5.0)
+    # hand fixtures, one column tiled over the five targets, identity scaler
+    identity = ScalerParams(minimum=np.zeros(11), maximum=np.ones(11))
+
+    def scores(pred, truth):
+        report = evaluate_forecasts(np.tile(pred[:, None], (1, 5)),
+                                    np.tile(truth[:, None], (1, 5)), identity)
+        per_target = (report.per_target_mae, report.per_target_rmse,
+                      report.per_target_nrmse)
+        # every target scores the same column alike
+        assert all(len(set(values)) == 1 for values in per_target)
+        return tuple(values[0] for values in per_target)
+
+    assert scores(np.array([2.0, 4.0]), np.array([1.0, 1.0])) == (
+        2.0, np.sqrt(5.0), np.sqrt(5.0))
     y = np.array([3.0, 7.0])
-    assert mae(y, y) == rmse(y, y) == nrmse(y, y) == 0.0
-    assert mae(y + 2.0, y) == rmse(y + 2.0, y) == 2.0
+    assert scores(y, y) == (0.0, 0.0, 0.0)
+    assert scores(y + 2.0, y)[:2] == (2.0, 2.0)
 
     # mae <= rmse over 1,000 random instances
     rng = np.random.Generator(np.random.PCG64(99))
     for _ in range(1000):
         n = int(rng.integers(1, 30))
-        p = rng.normal(0, 10, size=n)
-        t = rng.normal(0, 10, size=n)
-        assert mae(p, t) <= rmse(p, t) + 1e-12
+        p = rng.normal(0, 10, size=(n, 5))
+        t = rng.normal(0, 10, size=(n, 5))
+        report = evaluate_forecasts(p, t, identity)
+        for m, r in zip(report.per_target_mae, report.per_target_rmse):
+            assert m <= r + 1e-12
 
     # KS vs brute-force ECDF sup over 200 random small-sample pairs
     for _ in range(200):

@@ -297,6 +297,38 @@ def test_run_rejects_a_zero_mean_traffic_target(tmp_path, capsys, target):
     assert not (tmp_path / "out").exists()
 
 
+def strict_json(path):
+    """path's JSON, refusing the NaN and Infinity tokens that JSON lacks."""
+    def refuse(token):
+        raise ValueError(f"{path}: {token} is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_undefined_nrmse_of_a_secondary_target_is_written_as_null(tmp_path):
+    # an all-zero RNTI Count has zero mean, so its NRMSE is undefined; the
+    # run still scores the traffic targets and writes strict JSON
+    data_dir = tmp_path / "data"
+    assert main(["generate", "--config", str(write_config(tmp_path)),
+                 "--out-dir", str(data_dir)]) == 0
+    paths = []
+    for cid in ("bs000", "bs001"):
+        trace = load_csv(data_dir / f"{cid}.csv")
+        trace.values[:, FEATURES.index("RNTI Count")] = 0.0
+        paths.append(data_dir / f"{cid}.csv")
+        save_csv(trace, paths[-1])
+    config = write_config(tmp_path, setting="centralized",
+                          data={"paths": [str(p) for p in paths]})
+    assert main(["run", "--config", str(config)]) == 0
+    out = tmp_path / "out"
+    metrics = strict_json(out / "base" / "seed-0" / "metrics.json")
+    summary = strict_json(out / "summary.json")
+    for report in metrics["per_client"].values():
+        nrmse = report["per_target_nrmse"]
+        assert nrmse[2] is None
+        assert all(isinstance(v, float) for i, v in enumerate(nrmse) if i != 2)
+    assert summary["cells"][0]["runs"][0]["per_client"] == metrics["per_client"]
+
+
 def test_run_missing_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.yaml")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -326,6 +358,18 @@ def test_nan_weights_behind_a_relu_exit_2_with_one_line(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err == "error: round 0, client bs001: local weights are not finite\n"
     assert not list((tmp_path / "out").rglob("checkpoint*.bin"))
+
+
+def test_nan_fine_tuned_weights_exit_2_with_one_line(tmp_path, capsys,
+                                                    monkeypatch):
+    # centralized training never calls train_local, so only fine-tuning
+    # returns the NaN unit, which the MLP's ReLU hides from its scores
+    nan_in_hidden_unit(monkeypatch, "bs001", seed=0)
+    config = write_config(tmp_path, setting="centralized", fine_tune=True)
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: client bs001: fine-tuned weights are not finite\n"
+    assert not list((tmp_path / "out").rglob("metrics.json"))
 
 
 @pytest.mark.parametrize("setting", ["federated", "centralized"])

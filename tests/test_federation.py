@@ -401,6 +401,13 @@ def test_fine_tune_zero_epochs_is_identity():
     assert np.array_equal(moved.values, again.values)
 
 
+def test_fine_tuned_weights_that_are_not_finite_raise(monkeypatch):
+    nan_in_hidden_unit(monkeypatch, "ft", seed=2)
+    with pytest.raises(DivergenceError,
+                       match="client ft: fine-tuned weights are not finite"):
+        fine_tune(SPEC, init_model(SPEC, 2), client("ft"), epochs=1, seed=2)
+
+
 # -------------------------------------------------------------- communication
 
 def test_megabytes_is_decimal():

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedcast.dataio import ScalerParams
-from fedcast.metrics import evaluate_forecasts, mae, nrmse, rmse
-from helpers import ks_statistic
+from fedcast.dataio import ScalerParams, inverse_scale_array, target_scaler
+from fedcast.metrics import TRAFFIC_TARGETS, evaluate_forecasts
+from helpers import ks_statistic, mae, nrmse, rmse
 
 
 # -------------------------------------------------------------- point metrics
@@ -215,7 +215,7 @@ def test_evaluate_nan_for_zero_mean_secondary_target():
     truth[:, 4] = 0.0  # zero-mean non-traffic target is tolerated
     pred = truth + 0.1
     report = evaluate_forecasts(pred, truth, unit_scaler())
-    assert np.isnan(report.per_target_nrmse[4])
+    assert report.per_target_nrmse[4] is None
     assert not np.isnan(report.avg_nrmse)
 
 
@@ -226,9 +226,67 @@ def test_evaluate_rejects_zero_mean_traffic_target():
         evaluate_forecasts(truth + 0.1, truth, unit_scaler())
 
 
+def reference_report(pred, truth, scaler):
+    """The scores of one scalar call per target column, as a tuple of fields."""
+    t_scaler = target_scaler(scaler)
+    pred_units = inverse_scale_array(pred, t_scaler)
+    truth_units = inverse_scale_array(truth, t_scaler)
+    maes, rmses, nrmses = [], [], []
+    for j in range(5):
+        p, t = pred_units[:, j], truth_units[:, j]
+        maes.append(mae(p, t))
+        rmses.append(rmse(p, t))
+        try:
+            nrmses.append(nrmse(p, t))
+        except ValueError:  # zero-mean truth
+            nrmses.append(None)
+    n_traffic = len(TRAFFIC_TARGETS)
+    if None in nrmses[:n_traffic]:
+        return None
+    return (tuple(maes), tuple(rmses), tuple(nrmses), float(np.mean(maes)),
+            float(np.mean(rmses)), float(np.mean(nrmses[:n_traffic])))
+
+
+# a zero-mean traffic target refuses the whole report, so draw it rarely
+rarely = st.integers(0, 9).map(lambda k: k == 0)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    n=st.integers(1, 2000),
+    seed=st.integers(0, 2**32 - 1),
+    degenerate=st.lists(st.booleans(), min_size=5, max_size=5),
+    zero_mean=st.tuples(rarely, rarely, st.booleans(), st.booleans(), st.booleans()),
+)
+def test_evaluate_matches_per_target_scalar_metrics_bitwise(n, seed, degenerate,
+                                                             zero_mean):
+    # degenerate: the feature's span is 0, so every value maps to its
+    # minimum; zero_mean: the truth is 0 in original units (minimum 0, and
+    # an all-zero scaled column), so its NRMSE is undefined
+    rng = np.random.Generator(np.random.PCG64(seed))
+    minimum = rng.uniform(-100.0, 100.0, size=11)
+    span = rng.uniform(1e-3, 1e3, size=11)
+    span[:5][np.array(degenerate)] = 0.0
+    pred = rng.uniform(-0.5, 1.5, size=(n, 5))
+    truth = rng.uniform(-0.5, 1.5, size=(n, 5))
+    minimum[:5][np.array(zero_mean)] = 0.0
+    truth[:, np.array(zero_mean)] = 0.0
+    scaler = ScalerParams(minimum=minimum, maximum=minimum + span)
+    want = reference_report(pred, truth, scaler)
+    if want is None:
+        with pytest.raises(ValueError, match="zero-mean truth"):
+            evaluate_forecasts(pred, truth, scaler)
+        return
+    r = evaluate_forecasts(pred, truth, scaler)
+    got = (r.per_target_mae, r.per_target_rmse, r.per_target_nrmse, r.avg_mae,
+           r.avg_rmse, r.avg_nrmse)
+    assert got == want
+    assert r.n_points == n
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_evaluate_blames_non_finite_predictions_not_the_truth(bad):
-    # a diverged model predicts NaN; its NRMSE is NaN as for zero-mean truth
+    # a diverged model predicts NaN; the error names the predictions
     truth = np.full((2, 5), 0.5)
     pred = truth.copy()
     pred[1, 0] = bad

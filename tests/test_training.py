@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from fedcast.nn.models import ModelSpec, init_model, layout_for
+from fedcast.nn import training
 from fedcast.nn.params import ParameterVector
 from fedcast.nn.training import (
     AdamState,
     DivergenceError,
-    EarlyStopper,
     adam_step,
     evaluate,
     loss_and_grad,
@@ -232,24 +232,31 @@ def test_training_that_diverges_names_the_epoch():
 
 # -------------------------------------------------------------- early stopping
 
-def test_early_stopper_scripted_schedule():
+def scripted_early_stopping(monkeypatch, schedule, patience):
+    """train_with_early_stopping whose epoch e scores validation MSE schedule[e]."""
+    scores = iter(schedule)
+    monkeypatch.setattr(training, "evaluate", lambda *args: (next(scores), 0.0))
+    return train_with_early_stopping(
+        SMALL, init_model(SMALL, 0), random_windows(16), random_windows(4, seed=1),
+        max_epochs=len(schedule), patience=patience,
+    )
+
+
+def test_early_stopper_scripted_schedule(monkeypatch):
     # improving through epoch 3, constant after; patience 5 stops at epoch 8
-    stopper = EarlyStopper(5)
     schedule = [5.0, 4.0, 3.0, 2.0] + [2.0] * 10
-    stopped_at = None
-    for i, v in enumerate(schedule):
-        if stopper.update(v):
-            stopped_at = i
-            break
-    assert stopped_at == 8
-    assert stopper.best_epoch == 3
+    report = scripted_early_stopping(monkeypatch, schedule, patience=5)
+    assert len(report.val_losses) - 1 == 8
+    assert report.best_epoch == 3
 
 
-def test_early_stopper_strictly_improving_never_stops():
-    stopper = EarlyStopper(3)
-    assert all(not stopper.update(v) for v in np.linspace(10, 1, 50))
-    with pytest.raises(ValueError):
-        EarlyStopper(0)
+def test_early_stopper_strictly_improving_never_stops(monkeypatch):
+    schedule = list(np.linspace(10, 1, 50))
+    report = scripted_early_stopping(monkeypatch, schedule, patience=3)
+    assert report.val_losses == tuple(schedule)
+    assert report.best_epoch == 49
+    with pytest.raises(ValueError, match="patience must be >= 1"):
+        scripted_early_stopping(monkeypatch, [1.0], patience=0)
 
 
 def test_early_stopping_returns_best_epoch_params():
