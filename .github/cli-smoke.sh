@@ -3,9 +3,11 @@
 # never starts (its CLI tests call fedcast.cli.main in-process): generate a
 # two-client cohort, run a centralized, a federated, an adaptive-server
 # federated config (fedadam over a two-cell server_lr grid, a server rule
-# that no benchmark workload runs) and an individual-setting GRU and RNN
-# config (the two forwards no benchmark workload runs) on its CSVs twice
-# each, require each pair of output trees to be identical, and report.
+# that no benchmark workload runs), a federated config that samples one of
+# the two clients a round, so a client skips a round and resumes its Adam
+# state, and an individual-setting GRU and RNN config (the two forwards no
+# benchmark workload runs) on its CSVs twice each, require each pair of
+# output trees to be identical, and report.
 # The federated LSTM, GRU and RNN configs run once more under one and then
 # two BLAS threads, and those trees may differ only in environment.json.
 # Three configs must be refused with exit 2, no traceback and no run
@@ -112,6 +114,20 @@ federation: {rounds: 2, local_epochs: 1}
 aggregator: {strategy: fedadam}
 grid: {server_lr: [0.1, 1.0]}
 EOF
+# at seed 1 the rounds sample bs001, bs000, bs001: bs001 resumes in round 2
+cat > sampled.yaml <<EOF
+name: smoke-sampled
+setting: federated
+output_dir: runs/sampled
+seeds: [0, 1]
+data:
+  paths:
+    - $PWD/traces/bs000.csv
+    - $PWD/traces/bs001.csv
+model: {architecture: mlp, hidden_sizes: [16]}
+federation: {rounds: 3, local_epochs: 1, sampling_fraction: 0.5}
+aggregator: {strategy: fedavg}
+EOF
 
 for cell in gru rnn; do
   cat > "$cell.yaml" <<EOF
@@ -128,7 +144,7 @@ training: {max_epochs: 2, patience: 2}
 EOF
 done
 
-for setting in centralized federated adaptive gru rnn; do
+for setting in centralized federated adaptive sampled gru rnn; do
   fedcast run --config "$setting.yaml" --output-dir "runs/$setting-a"
   fedcast run --config "$setting.yaml" --output-dir "runs/$setting-b"
   diff -r "runs/$setting-a" "runs/$setting-b"
@@ -150,5 +166,5 @@ for path in sys.argv[1:]:
         json.load(fh, parse_constant=refuse)
 ' {} +
 fedcast report --runs runs/centralized-a runs/federated-a runs/adaptive-a \
-  runs/gru-a runs/rnn-a --out plot.csv
+  runs/sampled-a runs/gru-a runs/rnn-a --out plot.csv
 echo "CLI smoke run passed in $work"

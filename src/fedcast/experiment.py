@@ -61,7 +61,7 @@ from fedcast.metrics import (
 )
 from fedcast.nn.models import ModelSpec, predict
 from fedcast.nn.params import ParameterVector, serialize_params
-from fedcast.nn.training import TrainReport
+from fedcast.nn.training import DivergenceError, TrainReport
 from fedcast.schema import NON_EMPTY, Rule, at_least, check, knob, one_of, read_if
 from fedcast.synthetic import SyntheticSpec, generate_synthetic
 
@@ -318,12 +318,26 @@ def _score_params(
     spec: ModelSpec,
     params_for: Callable[[ClientWindows], ParameterVector],
     clients: Sequence[ClientWindows],
+    what: str = "test",
 ) -> dict[str, MetricReport]:
-    """Test scores of each client under the weights params_for(client)."""
+    """Test scores of each client under the weights params_for(client).
+
+    Finite weights can still overflow: predictions or scores that are not
+    finite raise DivergenceError naming the client and what was scored.
+    """
     out = {}
     for cw in clients:
         pred = predict(spec, params_for(cw), cw.test.inputs)
-        out[cw.client_id] = evaluate_forecasts(pred, cw.test.targets, cw.scaler)
+        if not np.isfinite(pred).all():
+            raise DivergenceError(f"client {cw.client_id}: {what} predictions are "
+                                  "not finite")
+        report = evaluate_forecasts(pred, cw.test.targets, cw.scaler)
+        # an average of non-negative errors is finite only if each term is
+        scores = (report.avg_mae, report.avg_rmse,
+                  *(s for s in report.per_target_nrmse if s is not None))
+        if not np.isfinite(scores).all():
+            raise DivergenceError(f"client {cw.client_id}: {what} scores are not finite")
+        out[cw.client_id] = report
     return out
 
 
@@ -485,8 +499,8 @@ def _run_once(
     Only the training differs per setting: each writes its curve CSV and
     names the weights every client is scored with. Checkpoints, test scores,
     fine-tuning and metrics.json are shared. run_dir is created only once
-    training has succeeded, so a run that fails there leaves no empty
-    directory.
+    training, scoring and fine-tuning have succeeded, so a run that fails
+    leaves no directory.
     """
     budget = (config.training.max_epochs, config.training.patience, seed)
     best_index = server_total_mb = shared = None
@@ -509,12 +523,6 @@ def _run_once(
     if shared is not None:
         models = {cw.client_id: shared for cw in clients}
         checkpoints = {"checkpoint.bin": shared}
-    run_dir.mkdir(parents=True, exist_ok=True)
-    curves()
-    for name, params in checkpoints.items():
-        with _atomic_open(run_dir / name, "wb") as fh:
-            fh.write(serialize_params(params))
-
     per_client = _score_params(spec, lambda cw: models[cw.client_id], clients)
     fine_tuned: dict[str, MetricReport] = {}
     if config.fine_tune:
@@ -524,6 +532,7 @@ def _run_once(
                 spec, models[cw.client_id], cw, config.fine_tune_epochs, seed
             ),
             clients,
+            "fine-tuned test",
         )
     result = RunResult(
         cell=cell,
@@ -535,6 +544,11 @@ def _run_once(
         per_client=per_client,
         fine_tuned=fine_tuned,
     )
+    run_dir.mkdir(parents=True, exist_ok=True)
+    curves()
+    for name, params in checkpoints.items():
+        with _atomic_open(run_dir / name, "wb") as fh:
+            fh.write(serialize_params(params))
     _json_dump(run_dir / "metrics.json", dataclasses.asdict(result))
     return result
 

@@ -6,7 +6,12 @@ whose step count fixes the epoch the client resumes at, so a
 one-epoch-per-round run retraces a plain local run step for step),
 aggregate the clients' local weights (the server derives each client's
 delta from the weights it broadcast), then evaluate the new global weights
-on every client's validation windows. The centralized setting trains on
+on every client's validation windows. Sampling does not depend on training,
+so the session draws its schedule before round 0, and a client holds Adam
+moments from its first sampled round through its last: after its last
+round's training they are dropped. A round keeps only each trained client's
+update, last train loss and step count, so it holds no optimizer state
+once a client's update is made. The centralized setting trains on
 pooled windows through the same epoch loop, with early stopping; the
 individual setting is a centralized run per single client. Weights that are
 not finite raise DivergenceError where they first appear: after a client's
@@ -117,13 +122,17 @@ def sample_clients(
         raise FederationError("no clients to sample from")
     if not (0.0 < fraction <= 1.0):
         raise FederationError("fraction must be in (0, 1]")
-    n = len(client_ids)
+    return [client_ids[i] for i in _sample_indices(len(client_ids), fraction,
+                                                   round_index, seed)]
+
+
+def _sample_indices(n: int, fraction: float, round_index: int, seed: int) -> list[int]:
+    """Ascending indices of the clients sample_clients draws from n."""
     count = clients_per_round(n, fraction)
     if count >= n:
-        return list(client_ids)
+        return list(range(n))
     rng = np.random.default_rng([seed, round_index, 1])
-    chosen = rng.choice(n, size=count, replace=False)
-    return [client_ids[i] for i in sorted(chosen)]
+    return sorted(rng.choice(n, size=count, replace=False).tolist())
 
 
 def _check_finite(params: ParameterVector, what: str) -> None:
@@ -173,8 +182,12 @@ def run_federated(
     global_pv = init_model(spec, seed)
     server_state = ServerState.zeros(global_pv.size)
     stream_seeds = {cid: client_stream_seed(seed, cid) for cid in ids}
-    # A client's Adam state exists once it has trained; train_local starts
-    # from zeros for a client not in the dict yet.
+    # The last round that samples each client (a later round overwrites an
+    # earlier one). A client's Adam state is kept from its first training
+    # until then; train_local starts from zeros for a client not in the dict.
+    last_round = {ids[i]: r for r in range(federation.rounds)
+                  for i in _sample_indices(len(ids), federation.sampling_fraction,
+                                           r, seed)}
     trainers: dict[str, AdamState] = {}
 
     records: list[RoundRecord] = []
@@ -184,28 +197,32 @@ def run_federated(
 
     for r in range(federation.rounds):
         sampled = sample_clients(ids, federation.sampling_fraction, r, seed)
-        reports: dict[str, TrainReport] = {}
+        updates: dict[str, ClientUpdate] = {}
+        train_losses: dict[str, float] = {}
         for cid in sampled:
             try:
-                reports[cid] = train_local(
+                report = train_local(
                     spec,
                     global_pv,
                     by_id[cid].train,
                     epochs=federation.local_epochs,
                     seed=stream_seeds[cid],
                     proximal_mu=aggregator.mu,
-                    state=trainers.get(cid),
+                    state=trainers.pop(cid, None),
                 )
             except DivergenceError as exc:
                 raise DivergenceError(f"round {r}, client {cid}, {exc}") from exc
-            _check_finite(reports[cid].params,
-                          f"round {r}, client {cid}: local weights")
-            trainers[cid] = reports[cid].state
+            _check_finite(report.params, f"round {r}, client {cid}: local weights")
+            if last_round[cid] > r:
+                trainers[cid] = report.state
+            updates[cid] = ClientUpdate(cid, report.params, by_id[cid].train.count,
+                                        report.steps)
+            train_losses[cid] = report.train_losses[-1]
+            # the report holds the Adam state, which only trainers may keep
+            del report
 
-        global_pv, server_state = aggregate(aggregator, server_state, global_pv, [
-            ClientUpdate(cid, rep.params, by_id[cid].train.count, rep.steps)
-            for cid, rep in reports.items()
-        ])
+        global_pv, server_state = aggregate(aggregator, server_state, global_pv,
+                                            list(updates.values()))
         _check_finite(global_pv, f"round {r}: aggregated weights")
 
         stats: dict[str, ClientRoundStats] = {}
@@ -222,10 +239,10 @@ def run_federated(
             else:
                 v_mse, v_mae = None, None
             stats[cid] = ClientRoundStats(
-                train_loss=reports[cid].train_losses[-1] if cid in reports else None,
+                train_loss=train_losses.get(cid),
                 val_mse=v_mse,
                 val_mae=v_mae,
-                local_steps=reports[cid].steps if cid in reports else 0,
+                local_steps=updates[cid].local_steps if cid in updates else 0,
                 n_samples=cw.train.count,
             )
         agg_mse = weighted_mse / val_total

@@ -3,6 +3,7 @@ import json
 import pytest
 import yaml
 
+from fedcast import experiment
 from fedcast.cli import main
 from fedcast.dataio import FEATURES, load_csv, save_csv
 from helpers import nan_in_hidden_unit
@@ -370,6 +371,23 @@ def test_nan_fine_tuned_weights_exit_2_with_one_line(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err == "error: client bs001: fine-tuned weights are not finite\n"
     assert not list((tmp_path / "out").rglob("metrics.json"))
+
+
+@pytest.mark.parametrize("factor, what", [(1e160, "scores"),
+                                          (float("inf"), "predictions")])
+def test_test_scores_that_overflow_exit_2_with_one_line(tmp_path, capsys,
+                                                       monkeypatch, factor, what):
+    # finite weights whose test predictions overflow, or whose finite
+    # predictions overflow when squared (an infinite RMSE): the run is refused
+    # before its directory is made
+    real = experiment.predict
+    monkeypatch.setattr(experiment, "predict",
+                        lambda *args: real(*args) * factor)
+    config = write_config(tmp_path, setting="centralized")
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: client bs000: test {what} are not finite\n"
+    assert not (tmp_path / "out" / "base").exists()
 
 
 @pytest.mark.parametrize("setting", ["federated", "centralized"])

@@ -31,6 +31,7 @@ from fedcast.experiment import (
 from fedcast.federation import FederationConfig
 from fedcast.nn.models import ARCHITECTURE_FIELDS, ModelSpec, layout_for
 from fedcast.nn.params import deserialize_params
+from fedcast.schema import FINITE, FRACTION, NON_NEGATIVE_FINITE, POSITIVE_FINITE
 from fedcast.synthetic import SyntheticClientSpec, SyntheticSpec
 from helpers import random_dataset
 
@@ -270,8 +271,8 @@ FIELD_CASES = [
 ] + [(path, value) for _, _, path in FLOAT_FIELDS for value in (NAN, INF, -INF)]
 
 
-@pytest.mark.parametrize("path, value", FIELD_CASES)
-def test_value_rule_reported_at_field_path(tmp_path, path, value):
+def _config_error(tmp_path, path, value) -> tuple[str, str]:
+    """(field name, ConfigError message) of the tiny config with path set."""
     raw = config_to_dict(tiny_config(tmp_path))
     *sections, field = [int(k) if k.isdigit() else k for k in re.findall(r"\w+", path)]
     node = raw
@@ -280,7 +281,13 @@ def test_value_rule_reported_at_field_path(tmp_path, path, value):
     node[field] = value
     with pytest.raises(ConfigError) as exc:
         config_from_dict(raw)
-    assert str(exc.value).startswith(f"config.{path}: {field} ")
+    return field, str(exc.value)
+
+
+@pytest.mark.parametrize("path, value", FIELD_CASES)
+def test_value_rule_reported_at_field_path(tmp_path, path, value):
+    field, message = _config_error(tmp_path, path, value)
+    assert message.startswith(f"config.{path}: {field} ")
 
 
 def test_every_ruled_field_has_a_rejected_case():
@@ -295,6 +302,30 @@ def test_every_ruled_field_has_a_rejected_case():
         if f.metadata.get("rule") is not None
     }
     assert ruled - {path for path, _ in FIELD_CASES} == set()
+
+
+# (config path, value) for NaN and both infinities at every field whose
+# declared rule requires a finite float, read from the schema metadata
+FINITE_RULES = (FINITE, POSITIVE_FINITE, NON_NEGATIVE_FINITE, FRACTION)
+FINITE_RULE_CASES = [
+    (prefix + f.name, value)
+    for cls, prefix in CONFIG_SECTIONS
+    for f in dataclasses.fields(cls)
+    if any(f.metadata.get("rule") is rule for rule in FINITE_RULES)
+    for value in (NAN, INF, -INF)
+]
+
+
+@pytest.mark.parametrize("path, value", FINITE_RULE_CASES)
+def test_finite_rule_refuses_non_finite_values_at_field_path(tmp_path, path, value):
+    field, message = _config_error(tmp_path, path, value)
+    assert message.startswith(f"config.{path}: {field} must be "), message
+    assert message.endswith(f", got {value!r}"), message
+
+
+def test_finite_rule_cases_cover_every_section_with_such_a_rule():
+    assert {path.rsplit(".", 1)[0] for path, _ in FINITE_RULE_CASES} == {
+        "model", "aggregator", "data.synthetic.clients[0]"}
 
 
 @pytest.mark.parametrize("preprocessing, field", [

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import tracemalloc
+import weakref
 import zlib
 
 import numpy as np
@@ -288,6 +289,81 @@ def test_round_records_account_participation():
                 assert s.train_loss is None
                 assert s.local_steps == 0
     assert len(hist.rounds) == 4
+
+
+def test_client_resumes_at_its_step_count_after_skipping_rounds(monkeypatch):
+    # seed 4 samples {a, b}, {b, c}, {a, d}: a skips round 1 and resumes in
+    # round 2 at the step count its round-0 training left, so it draws its
+    # second epoch's shuffle stream; c and d start from zeros
+    ids = ["a", "b", "c", "d"]
+    assert [sample_clients(ids, 0.5, r, 4) for r in range(3)] == [
+        ["a", "b"], ["b", "c"], ["a", "d"]]
+    cid_of = {client_stream_seed(4, cid): cid for cid in ids}
+    entered, left, draws = [], [], []
+    real_train, real_rng = federation.train_local, np.random.default_rng
+
+    def train_local(*args, state=None, **kwargs):
+        cid = cid_of[kwargs["seed"]]
+        entered.append((cid, None if state is None
+                        else (state.step, state.m.copy(), state.v.copy())))
+        report = real_train(*args, state=state, **kwargs)
+        left.append((cid, (report.state.step, report.state.m.copy(),
+                           report.state.v.copy())))
+        return report
+
+    def default_rng(seed=None):
+        if isinstance(seed, list) and len(seed) == 2 and seed[0] in cid_of:
+            draws.append((cid_of[seed[0]], seed[1]))
+        return real_rng(seed)
+
+    monkeypatch.setattr(federation, "train_local", train_local)
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    run_federated(SPEC, [client(cid) for cid in ids], fed(rounds=3, fraction=0.5),
+                  FEDAVG, seed=4)
+    assert [cid for cid, _ in entered] == ["a", "b", "b", "c", "a", "d"]
+    assert [state is None for cid, state in entered] == [
+        True, True, False, True, False, True]
+    # three 8-window batches an epoch
+    step, m, v = entered[4][1]
+    assert left[0][0] == "a" and step == left[0][1][0] == 3
+    assert np.array_equal(m, left[0][1][1]) and np.array_equal(v, left[0][1][2])
+    assert draws == [("a", 0), ("b", 0), ("b", 1), ("c", 0), ("a", 1), ("d", 0)]
+
+
+def test_adam_state_lives_from_first_training_to_last_sampled_round(monkeypatch):
+    # at every local training, the Adam states still alive are those of the
+    # clients that trained before and that a round from this one on samples
+    # again; none outlives the session
+    ids = list("abcdef")
+    schedule = [sample_clients(ids, 0.5, r, 1) for r in range(5)]
+    # d leaves after round 1, f after round 2 and b after round 3
+    assert [s for s in schedule if "d" in s][-1] is schedule[1]
+    cid_of = {client_stream_seed(1, cid): cid for cid in ids}
+    rounds, last_trained, m_refs = [], {}, {}
+    real_sample, real_train = federation.sample_clients, federation.train_local
+
+    def sample_clients_(client_ids, fraction, round_index, seed):
+        rounds.append(round_index)
+        return real_sample(client_ids, fraction, round_index, seed)
+
+    def train_local(*args, **kwargs):
+        cid = cid_of[kwargs["seed"]]
+        alive = {c for c, ref in m_refs.items() if ref() is not None}
+        again = {c for c, t in last_trained.items()
+                 if any(c in s for s in schedule[t + 1:])}
+        assert alive == again, (rounds[-1], cid)
+        report = real_train(*args, **kwargs)
+        m_refs[cid] = weakref.ref(report.state.m)
+        last_trained[cid] = rounds[-1]
+        return report
+
+    monkeypatch.setattr(federation, "sample_clients", sample_clients_)
+    monkeypatch.setattr(federation, "train_local", train_local)
+    run_federated(SPEC, [client(cid) for cid in ids], fed(rounds=5, fraction=0.5),
+                  FEDAVG, seed=1)
+    assert rounds == list(range(5))
+    assert sorted(last_trained) == ids
+    assert [c for c, ref in m_refs.items() if ref() is not None] == []
 
 
 def test_aggregate_validation_is_count_weighted():
