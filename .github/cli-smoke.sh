@@ -8,6 +8,9 @@
 # state, and an individual-setting GRU and RNN config (the two forwards no
 # benchmark workload runs) on its CSVs twice each, require each pair of
 # output trees to be identical, and report.
+# The sampling config runs once more with its two paths listed in reverse
+# order, and that tree may differ from the first only in manifest.json,
+# which records the paths as written.
 # The federated LSTM, GRU and RNN configs run once more under one and then
 # two BLAS threads, and those trees may differ only in environment.json.
 # Three configs must be refused with exit 2, no traceback and no run
@@ -149,6 +152,11 @@ for setting in centralized federated adaptive sampled gru rnn; do
   fedcast run --config "$setting.yaml" --output-dir "runs/$setting-b"
   diff -r "runs/$setting-a" "runs/$setting-b"
 done
+# swap the two trace names: the same cohort, listed the other way round
+sed 's#bs000\.csv#bs00x.csv#; s#bs001\.csv#bs000.csv#; s#bs00x\.csv#bs001.csv#' \
+  sampled.yaml > sampled-reversed.yaml
+fedcast run --config sampled-reversed.yaml --output-dir runs/sampled-reversed
+diff -r -x manifest.json runs/sampled-a runs/sampled-reversed
 for setting in federated gru rnn; do
   for threads in 1 2; do
     OPENBLAS_NUM_THREADS=$threads OMP_NUM_THREADS=$threads \

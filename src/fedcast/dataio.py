@@ -533,6 +533,8 @@ def preprocess_clients(
     per-client train-fitted bounds are negotiated elementwise across the
     cohort before any scaling happens; with "local" each client uses its own.
     A client's splits are views of the one buffer clean_missing copies it to.
+    The clients come back in client-id order, whatever order they are listed
+    in, so sampling, pooling and every per-client loop see one order.
     """
     if not datasets:
         raise DataError("no clients to preprocess")
@@ -545,6 +547,7 @@ def preprocess_clients(
             f"preprocessing.per_client_percentiles names clients not in the "
             f"cohort: {unknown}"
         )
+    datasets = sorted(datasets, key=lambda ds: ds.client_id)
 
     splits: list[tuple[np.ndarray, list[np.ndarray]]] = []
     scalers: list[ScalerParams] = []

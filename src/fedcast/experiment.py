@@ -6,10 +6,11 @@ the federated setting, federation plus aggregator parameters. A config
 mapping is decoded against the config dataclasses' field annotations, and
 each dataclass checks the rules its fields declare (fedcast.schema), so a
 bad value raises ConfigError naming its path
-(config.data.synthetic.clients[0].days) before anything runs. config_to_dict is the inverse. run_experiment executes every (grid
-cell, seed) pair, writes per-run artifacts (round or epoch CSVs,
-checkpoints, metric JSON), a manifest that reruns the experiment verbatim,
-and a summary with mean/std across seeds. All emitted bytes are
+(config.data.synthetic.clients[0].days) before anything runs.
+config_to_dict is the inverse. run_experiment executes every (grid cell,
+seed) pair, writes per-run artifacts (round or epoch CSVs, checkpoints,
+metric JSON), a manifest that reruns the experiment verbatim, and a
+summary with mean/std across seeds. All emitted bytes are
 deterministic: same config, same files. The one exception is
 environment.json, which records the numpy, BLAS and Python versions and
 thread settings that the bytes can depend on across hosts.

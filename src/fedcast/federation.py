@@ -1,6 +1,8 @@
 """Federated orchestration: sampling, rounds, settings, and byte accounting.
 
-One round: sample clients, broadcast the global weights, run E local epochs
+A session's state is its FederationHistory: initial_history makes it and
+run_federated folds federated_round over it, one round at a time. One round:
+sample clients, broadcast the global weights, run E local epochs
 per sampled client (each client keeps its own Adam state across rounds,
 whose step count fixes the epoch the client resumes at, so a
 one-epoch-per-round run retraces a plain local run step for step),
@@ -22,7 +24,7 @@ fine-tuning.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,6 +43,7 @@ from fedcast.nn.training import (
     DivergenceError,
     TrainReport,
     evaluate,
+    keep_best,
     train_local,
     train_with_early_stopping,
 )
@@ -90,12 +93,23 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class FederationHistory:
+    """A session's state after len(rounds) rounds, and its result.
+
+    server, trainers and last_round are what the next round continues
+    from: the server optimizer state, the Adam state of each client that
+    trained and that a later round samples again, and the last round that
+    samples each client.
+    """
+
     rounds: tuple[RoundRecord, ...]
     best_round: Optional[int]
     best_global: ParameterVector
     final_global: ParameterVector
     payload_bytes: int
     client_ids: tuple[str, ...]
+    server: ServerState
+    trainers: dict[str, AdamState]
+    last_round: dict[str, int]
 
 
 def client_stream_seed(seed: int, client_id: str) -> int:
@@ -153,6 +167,110 @@ def _check_cohort(clients: Sequence[ClientWindows]) -> None:
         raise FederationError(f"duplicate client ids: {ids}")
 
 
+def initial_history(
+    spec: ModelSpec,
+    clients: Sequence[ClientWindows],
+    federation: FederationConfig,
+    seed: int = 0,
+) -> FederationHistory:
+    """The state of a session before its first round, after the cohort checks.
+
+    seed fixes the initial weights and the client sampling, whose schedule is
+    drawn here once for the whole session.
+    """
+    _check_cohort(clients)
+    if federation.rounds > 0:
+        for c in clients:
+            if c.train.count == 0:
+                raise FederationError(f"{c.client_id}: no training windows")
+        if all(c.validation.count == 0 for c in clients):
+            raise FederationError("no client has validation windows")
+    global_pv = init_model(spec, seed)
+    ids = tuple(c.client_id for c in clients)
+    return FederationHistory(
+        rounds=(), best_round=None, best_global=global_pv, final_global=global_pv,
+        payload_bytes=payload_nbytes(global_pv.layout), client_ids=ids,
+        server=ServerState.zeros(global_pv.size), trainers={},
+        # a later round that samples a client overwrites an earlier one
+        last_round={ids[i]: r for r in range(federation.rounds)
+                    for i in _sample_indices(len(ids), federation.sampling_fraction,
+                                             r, seed)},
+    )
+
+
+def federated_round(
+    spec: ModelSpec,
+    clients: Sequence[ClientWindows],
+    federation: FederationConfig,
+    aggregator: AggregatorConfig,
+    seed: int,
+    history: FederationHistory,
+) -> FederationHistory:
+    """Run round len(history.rounds) and return the session's state after it.
+
+    The sampled clients train from history.final_global, the server
+    aggregates their weights, and the new global weights are scored on every
+    client's validation windows. federation and seed must be those the
+    history was made with. The history passed in is spent: its trainers
+    dict moves on to the result. A round whose local training, local
+    weights, aggregated weights or aggregated validation MSE is not finite
+    raises DivergenceError naming the round (and the client).
+    """
+    r = len(history.rounds)
+    by_id = {c.client_id: c for c in clients}
+    sampled = sample_clients(history.client_ids, federation.sampling_fraction, r, seed)
+    updates: dict[str, ClientUpdate] = {}
+    train_losses: dict[str, float] = {}
+    for cid in sampled:
+        try:
+            report = train_local(
+                spec, history.final_global, by_id[cid].train,
+                epochs=federation.local_epochs, seed=client_stream_seed(seed, cid),
+                proximal_mu=aggregator.mu, state=history.trainers.pop(cid, None),
+            )
+        except DivergenceError as exc:
+            raise DivergenceError(f"round {r}, client {cid}, {exc}") from exc
+        _check_finite(report.params, f"round {r}, client {cid}: local weights")
+        if history.last_round[cid] > r:
+            history.trainers[cid] = report.state
+        updates[cid] = ClientUpdate(cid, report.params, by_id[cid].train.count,
+                                    report.steps)
+        train_losses[cid] = report.train_losses[-1]
+        # the report holds the Adam state, which only trainers may keep
+        del report
+
+    global_pv, server = aggregate(aggregator, history.server, history.final_global,
+                                  list(updates.values()))
+    _check_finite(global_pv, f"round {r}: aggregated weights")
+
+    stats: dict[str, ClientRoundStats] = {}
+    weighted_mse = 0.0
+    weighted_mae = 0.0
+    val_total = 0
+    for cid, cw in by_id.items():
+        if cw.validation.count > 0:
+            v_mse, v_mae = evaluate(spec, global_pv, cw.validation)
+            weighted_mse += v_mse * cw.validation.count
+            weighted_mae += v_mae * cw.validation.count
+            val_total += cw.validation.count
+        else:
+            v_mse, v_mae = None, None
+        stats[cid] = ClientRoundStats(
+            train_loss=train_losses.get(cid), val_mse=v_mse, val_mae=v_mae,
+            local_steps=updates[cid].local_steps if cid in updates else 0,
+            n_samples=cw.train.count,
+        )
+    agg_mse = weighted_mse / val_total
+    if not np.isfinite(agg_mse):
+        raise DivergenceError(f"round {r}: aggregated validation MSE is {agg_mse}")
+    record = RoundRecord(r, tuple(sampled), stats, agg_mse, weighted_mae / val_total)
+    best = (history.rounds[history.best_round].agg_val_mse if history.rounds else np.inf,
+            history.best_round, history.best_global)
+    _, best_round, best_global = keep_best(best, (agg_mse, r, global_pv))
+    return replace(history, rounds=history.rounds + (record,), best_round=best_round,
+                   best_global=best_global, final_global=global_pv, server=server)
+
+
 def run_federated(
     spec: ModelSpec,
     clients: Sequence[ClientWindows],
@@ -163,114 +281,15 @@ def run_federated(
     """Run the full federated session and return its history.
 
     seed fixes the initial weights, each client's shuffle stream and the
-    client sampling. The best round is the one whose post-aggregation global
-    scores the lowest validation MSE (sample-weighted over all clients); ties
-    keep the earliest round. A round whose local training, local weights,
-    aggregated weights or aggregated validation MSE is not finite raises
-    DivergenceError naming the round (and the client).
+    client sampling. The session is federated_round folded over the rounds
+    from initial_history. The best round is the one whose post-aggregation
+    global scores the lowest validation MSE (sample-weighted over all
+    clients); ties keep the earliest round.
     """
-    _check_cohort(clients)
-    by_id = {c.client_id: c for c in clients}
-    ids = tuple(c.client_id for c in clients)
-    if federation.rounds > 0:
-        for c in clients:
-            if c.train.count == 0:
-                raise FederationError(f"{c.client_id}: no training windows")
-        if all(c.validation.count == 0 for c in clients):
-            raise FederationError("no client has validation windows")
-
-    global_pv = init_model(spec, seed)
-    server_state = ServerState.zeros(global_pv.size)
-    stream_seeds = {cid: client_stream_seed(seed, cid) for cid in ids}
-    # The last round that samples each client (a later round overwrites an
-    # earlier one). A client's Adam state is kept from its first training
-    # until then; train_local starts from zeros for a client not in the dict.
-    last_round = {ids[i]: r for r in range(federation.rounds)
-                  for i in _sample_indices(len(ids), federation.sampling_fraction,
-                                           r, seed)}
-    trainers: dict[str, AdamState] = {}
-
-    records: list[RoundRecord] = []
-    best_round: Optional[int] = None
-    best_mse = np.inf
-    best_global = global_pv.copy()
-
-    for r in range(federation.rounds):
-        sampled = sample_clients(ids, federation.sampling_fraction, r, seed)
-        updates: dict[str, ClientUpdate] = {}
-        train_losses: dict[str, float] = {}
-        for cid in sampled:
-            try:
-                report = train_local(
-                    spec,
-                    global_pv,
-                    by_id[cid].train,
-                    epochs=federation.local_epochs,
-                    seed=stream_seeds[cid],
-                    proximal_mu=aggregator.mu,
-                    state=trainers.pop(cid, None),
-                )
-            except DivergenceError as exc:
-                raise DivergenceError(f"round {r}, client {cid}, {exc}") from exc
-            _check_finite(report.params, f"round {r}, client {cid}: local weights")
-            if last_round[cid] > r:
-                trainers[cid] = report.state
-            updates[cid] = ClientUpdate(cid, report.params, by_id[cid].train.count,
-                                        report.steps)
-            train_losses[cid] = report.train_losses[-1]
-            # the report holds the Adam state, which only trainers may keep
-            del report
-
-        global_pv, server_state = aggregate(aggregator, server_state, global_pv,
-                                            list(updates.values()))
-        _check_finite(global_pv, f"round {r}: aggregated weights")
-
-        stats: dict[str, ClientRoundStats] = {}
-        weighted_mse = 0.0
-        weighted_mae = 0.0
-        val_total = 0
-        for cid in ids:
-            cw = by_id[cid]
-            if cw.validation.count > 0:
-                v_mse, v_mae = evaluate(spec, global_pv, cw.validation)
-                weighted_mse += v_mse * cw.validation.count
-                weighted_mae += v_mae * cw.validation.count
-                val_total += cw.validation.count
-            else:
-                v_mse, v_mae = None, None
-            stats[cid] = ClientRoundStats(
-                train_loss=train_losses.get(cid),
-                val_mse=v_mse,
-                val_mae=v_mae,
-                local_steps=updates[cid].local_steps if cid in updates else 0,
-                n_samples=cw.train.count,
-            )
-        agg_mse = weighted_mse / val_total
-        agg_mae = weighted_mae / val_total
-        if not np.isfinite(agg_mse):
-            raise DivergenceError(f"round {r}: aggregated validation MSE is {agg_mse}")
-        records.append(
-            RoundRecord(
-                round=r,
-                sampled=tuple(sampled),
-                client_stats=stats,
-                agg_val_mse=agg_mse,
-                agg_val_mae=agg_mae,
-            )
-        )
-        if agg_mse < best_mse:
-            best_mse = agg_mse
-            best_round = r
-            best_global = global_pv.copy()
-
-    return FederationHistory(
-        rounds=tuple(records),
-        best_round=best_round,
-        best_global=best_global,
-        final_global=global_pv,
-        payload_bytes=payload_nbytes(global_pv.layout),
-        client_ids=ids,
-    )
+    history = initial_history(spec, clients, federation, seed)
+    for _ in range(federation.rounds):
+        history = federated_round(spec, clients, federation, aggregator, seed, history)
+    return history
 
 
 def run_centralized(

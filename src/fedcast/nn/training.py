@@ -81,6 +81,17 @@ def adam_step(
     return np.subtract(values, step, out=denom), AdamState(m, v, t)
 
 
+def keep_best(best: tuple, candidate: tuple) -> tuple:
+    """The better of the best (MSE, index, weights) so far and a later one.
+
+    Epochs and rounds both pick their best by this rule: only a strictly
+    lower validation MSE replaces the best, so a tie keeps the earliest.
+    Neither loop writes weights after making them, so the weights are kept
+    by reference.
+    """
+    return candidate if candidate[0] < best[0] else best
+
+
 def loss_and_grad(
     spec: ModelSpec,
     params: ParameterVector,
@@ -158,7 +169,7 @@ def _train(
         raise ValueError("cannot train on zero windows")
     layout = params.layout
     values = params.values.copy()
-    best_values, best_mse, best_epoch = values, math.inf, None
+    best = (math.inf, None, values)
     state = state if state is not None else AdamState.zeros(layout.size)
     per_epoch = max(1, math.ceil(train.count / spec.batch_size))
     first_epoch, partial = divmod(state.step, per_epoch)
@@ -200,17 +211,16 @@ def _train(
                 )
             val_losses.append(mse)
             val_maes.append(mae)
-            if mse < best_mse:
-                best_values, best_mse, best_epoch = values.copy(), mse, e
-            elif e - best_epoch >= patience:
+            best = keep_best(best, (mse, e, values))
+            if e - best[1] >= patience:
                 break
     return TrainReport(
         train_losses=tuple(train_losses),
         val_losses=tuple(val_losses),
         val_maes=tuple(val_maes),
         steps=total_steps,
-        best_epoch=best_epoch,
-        params=ParameterVector(best_values if validation is not None else values,
+        best_epoch=best[1],
+        params=ParameterVector(best[2] if validation is not None else values,
                                layout),
         state=state,
     )

@@ -23,7 +23,9 @@ from fedcast.federation import (
     account_communication,
     client_stream_seed,
     estimate_total_transfer_bytes,
+    federated_round,
     fine_tune,
+    initial_history,
     megabytes,
     run_centralized,
     run_federated,
@@ -364,6 +366,40 @@ def test_adam_state_lives_from_first_training_to_last_sampled_round(monkeypatch)
     assert rounds == list(range(5))
     assert sorted(last_trained) == ids
     assert [c for c, ref in m_refs.items() if ref() is not None] == []
+
+
+def test_hand_fold_of_the_round_step_is_the_session():
+    # seed 4 samples {a, b}, {b, c}, {a, d}: a skips round 1 and resumes, so
+    # the Adam states must cross rounds inside the history
+    cohort = [client(cid) for cid in "abcd"]
+    config = fed(rounds=3, fraction=0.5)
+    session = run_federated(SPEC, cohort, config, FEDAVG, seed=4)
+    history = initial_history(SPEC, cohort, config, seed=4)
+    for r in range(3):
+        history = federated_round(SPEC, cohort, config, FEDAVG, 4, history)
+        assert len(history.rounds) == r + 1
+        # a keeps its state through round 1, which does not sample it
+        assert ("a" in history.trainers) == (r < 2)
+    assert history.rounds == session.rounds
+    assert [r.sampled for r in history.rounds] == [("a", "b"), ("b", "c"), ("a", "d")]
+    assert history.best_round == session.best_round
+    assert np.array_equal(history.best_global.values, session.best_global.values)
+    assert np.array_equal(history.final_global.values, session.final_global.values)
+    assert history.trainers == session.trainers == {}
+
+
+def test_tied_rounds_keep_the_earliest(monkeypatch):
+    # rounds 1 and 2 score the same MSE, below round 0's: round 1 is the best
+    cohort = [client("a"), client("b", seed=4)]
+    scores = iter([2.0] * 2 + [1.0] * 4)
+    monkeypatch.setattr(federation, "evaluate", lambda *args: (next(scores), 0.5))
+    hist = run_federated(SPEC, cohort, fed(rounds=3), FEDAVG, seed=3)
+    assert [r.agg_val_mse for r in hist.rounds] == [2.0, 1.0, 1.0]
+    assert hist.best_round == 1
+    monkeypatch.undo()
+    two = run_federated(SPEC, cohort, fed(rounds=2), FEDAVG, seed=3)
+    assert np.array_equal(hist.best_global.values, two.final_global.values)
+    assert not np.array_equal(hist.best_global.values, hist.final_global.values)
 
 
 def test_aggregate_validation_is_count_weighted():
