@@ -5,9 +5,10 @@
 # federated config (fedadam over a two-cell server_lr grid, a server rule
 # that no benchmark workload runs), a federated config that samples one of
 # the two clients a round, so a client skips a round and resumes its Adam
-# state, and an individual-setting GRU and RNN config (the two forwards no
-# benchmark workload runs) on its CSVs twice each, require each pair of
-# output trees to be identical, and report.
+# state, an individual-setting GRU and RNN config (the two forwards no
+# benchmark workload runs) and a small centralized CNN config (the one
+# architecture no other config reruns) on its CSVs twice each, require each
+# pair of output trees to be identical, and report.
 # The sampling config runs once more with its two paths listed in reverse
 # order, and that tree may differ from the first only in manifest.json,
 # which records the paths as written.
@@ -147,7 +148,20 @@ training: {max_epochs: 2, patience: 2}
 EOF
 done
 
-for setting in centralized federated adaptive sampled gru rnn; do
+cat > cnn.yaml <<EOF
+name: smoke-cnn
+setting: centralized
+output_dir: runs/cnn
+seeds: [0]
+data:
+  paths:
+    - $PWD/traces/bs000.csv
+    - $PWD/traces/bs001.csv
+model: {architecture: cnn, conv_filters: [4, 4], dense_units: 8}
+training: {max_epochs: 2, patience: 2}
+EOF
+
+for setting in centralized federated adaptive sampled gru rnn cnn; do
   fedcast run --config "$setting.yaml" --output-dir "runs/$setting-a"
   fedcast run --config "$setting.yaml" --output-dir "runs/$setting-b"
   diff -r "runs/$setting-a" "runs/$setting-b"
@@ -174,5 +188,5 @@ for path in sys.argv[1:]:
         json.load(fh, parse_constant=refuse)
 ' {} +
 fedcast report --runs runs/centralized-a runs/federated-a runs/adaptive-a \
-  runs/sampled-a runs/gru-a runs/rnn-a --out plot.csv
+  runs/sampled-a runs/gru-a runs/rnn-a runs/cnn-a --out plot.csv
 echo "CLI smoke run passed in $work"

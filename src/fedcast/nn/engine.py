@@ -2,8 +2,12 @@
 
 A Tensor wraps an ndarray and, when any input requires gradients, a closure
 that scatters the output gradient back to its parents. backward() walks the
-graph once in reverse topological order. Everything is float64; graphs are
-built per call and garbage-collected afterwards, so no global state exists
+graph once in reverse topological order and frees it as it goes: each node
+drops its parents, gradient and closure before the closure runs, so a
+layer's saved state and output gradient go once it has passed its gradient
+down, and a value goes once no closure still reads it. Leaves keep .grad,
+and a walked graph refuses a second backward() with RuntimeError.
+Everything is float64; graphs are built per call, so no global state exists
 and identical inputs produce bit-identical gradients.
 
 Each op keeps only what its backward pass reads, and with no input
@@ -69,9 +73,23 @@ class Tensor:
                 if id(parent) not in seen and parent.requires_grad:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        while topo:
+            node = topo.pop()
+            backward, g = node._backward, node.grad
+            if backward is None:
+                continue  # a leaf keeps its gradient
+            # Detach before the closure runs: a value nothing else holds goes
+            # now, and the closure's saved state and g go when the next
+            # iteration rebinds them.
+            node.grad, node._parents, node._backward = None, (), _spent
+            del node
+            if g is not None:
+                backward(g)
+
+
+def _spent(g) -> None:
+    raise RuntimeError("backward: this graph was already walked backward, "
+                       "which freed its saved state")
 
 
 def _as_tensor(x) -> Tensor:
@@ -427,8 +445,9 @@ def recurrent(cell: str, x, w_x, w_h, b) -> Tensor:
     gradient stack is allocated, and each weight-gradient GEMM sums over
     the B rows of one step, whose terms join in a fixed order; OpenBLAS
     gives them the same bits at one and two threads up to B = 256.
-    Having consumed the activations, the backward closure raises
-    RuntimeError if it is called again. Without a gradient to form (the
+    The tape frees the closure, and with it the overwritten activations,
+    once it has run, so a second backward() raises RuntimeError instead of
+    reading gradients as gates. Without a gradient to form (the
     no-grad mode of predict), the same loop runs over rings of one
     activation slot and two state slots, so nothing of past steps is kept.
     """
@@ -448,11 +467,7 @@ def recurrent(cell: str, x, w_x, w_h, b) -> Tensor:
     saved = cell_forward(_steps(xs, w_xb, acts), acts, hs, w_h.data)
 
     def backward(g):
-        nonlocal acts
-        if acts is None:
-            raise RuntimeError("recurrent: backward can run only once; the first run "
-                               "overwrote the gate activations with gradients")
-        dz, acts = acts, None
+        dz = acts  # overwritten step by step with the gate gradients
         g_w_h = np.zeros((units, width))
         g_w_xb = np.zeros((n_in + 1, width))
         g_x = np.empty((n_in, steps, batch)) if x.requires_grad else None

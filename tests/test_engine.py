@@ -385,6 +385,38 @@ def test_deep_chain_no_recursion_limit():
     assert a.grad[0, 0] == pytest.approx(3001.0)
 
 
+@pytest.mark.parametrize("shapes, build", [
+    ([(4, 3), (3, 2), (2,)],
+     lambda x, w, b: engine.mse(engine.dense(x, w, b, True), np.ones((4, 2)))),
+    ([(2, 4, 5, 3), (3 * 3 * 3, 4), (4,)],
+     lambda x, w, b: engine.mean_all(engine.spatial_mean(
+         engine.conv2d(x, w, b, kernel=3, padding=1, relu=True)))),
+], ids=["dense-mse", "conv2d"])
+def test_second_backward_of_a_graph_is_refused(shapes, build):
+    # a second walk would add to the gradients the first left on every
+    # node (w.grad 3x its first value on the dense graph); the walked graph
+    # refuses it
+    r = rng(18)
+    leaves = [Tensor(r.standard_normal(s), requires_grad=True) for s in shapes]
+    loss = build(*leaves)
+    loss.backward()
+    first = [t.grad.copy() for t in leaves]
+    with pytest.raises(RuntimeError, match="already walked backward"):
+        loss.backward()
+    assert all(np.array_equal(t.grad, g) for t, g in zip(leaves, first))
+
+
+def test_backward_frees_the_graph_but_keeps_leaf_grads_and_held_data():
+    a = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
+    h = engine.tanh(engine.mul(a, a))
+    loss = engine.mean_all(engine.square(h))
+    data = h.data
+    loss.backward()
+    assert a.grad is not None and h.data is data
+    for node in (h, loss):
+        assert node.grad is None and node._parents == ()
+
+
 def test_backward_requires_scalar_like_start():
     a = Tensor(np.ones((2, 2)), requires_grad=True)
     out = engine.mean_all(engine.square(a))
@@ -481,12 +513,13 @@ def test_recurrent_grads(cell):
 @pytest.mark.parametrize("cell", ["rnn", "lstm", "gru"])
 def test_recurrent_backward_refuses_a_second_run(cell):
     # the first backward pass overwrites the gate activations with their
-    # gradients, so a second would read gradients as gates
+    # gradients, so a second would read gradients as gates; the tape frees
+    # the closure that held them and refuses to walk the graph again
     arrays = recurrent_arrays(cell, batch=3, steps=4, n_in=2, units=5, seed=17)
     h = engine.recurrent(cell, *(Tensor(a, requires_grad=True) for a in arrays))
     loss = engine.mean_all(engine.square(h))
     loss.backward()
-    with pytest.raises(RuntimeError, match="recurrent: backward can run only once"):
+    with pytest.raises(RuntimeError, match="already walked backward"):
         loss.backward()
 
 

@@ -3,7 +3,8 @@
 A run is a function of its cohort as a set. Listing the same clients in
 another order, as CSV paths or as synthetic client specs, must write the
 same bytes; only manifest.json, which records the config as written, may
-differ.
+differ. A (cell, seed) run is a function of its cell and seed alone: the
+seeds of one call write the per-seed trees they write when run apart.
 """
 
 import dataclasses
@@ -93,3 +94,31 @@ def test_reversing_the_client_list_keeps_the_bytes(tmp_path, setting, listing):
     manifests = [(tmp_path / d / "manifest.json").read_bytes()
                  for d in ("as-listed", "reversed")]
     assert manifests[0] != manifests[1]
+
+
+def per_seed(root: Path, seed: int) -> dict[str, bytes]:
+    """The files of every cell's seed-<seed> directory, by relative path."""
+    return {
+        str(p.relative_to(root)): p.read_bytes()
+        for p in sorted(root.glob(f"*/seed-{seed}/*"))
+    }
+
+
+@pytest.mark.parametrize("setting, model", [
+    ("federated", ModelSpec(architecture="mlp", window_size=6, hidden_sizes=(16,))),
+    ("centralized", ModelSpec(architecture="cnn", window_size=6, conv_filters=(4, 4),
+                              dense_units=8)),
+])
+def test_seeds_run_together_write_the_trees_they_write_apart(tmp_path, setting, model):
+    # no state outlives a (cell, seed) run: seed 1 after seed 0 in one call
+    # must see nothing seed 0 left behind
+    base = dataclasses.replace(config(setting, DataConfig(synthetic=COHORT), tmp_path),
+                               model=model)
+    for name, seeds in (("together", (0, 1)), ("seed-0", (0,)), ("seed-1", (1,))):
+        run_experiment(dataclasses.replace(base, seeds=seeds,
+                                           output_dir=str(tmp_path / name)))
+    together = tmp_path / "together"
+    for seed in (0, 1):
+        apart = per_seed(tmp_path / f"seed-{seed}", seed)
+        assert f"base/seed-{seed}/checkpoint.bin" in apart
+        assert per_seed(together, seed) == apart
